@@ -1,13 +1,8 @@
 """Monotone binary regression: NPMLE, weak-impact limit laws, MC harness."""
 
 from .estimator import (
-    ConvexMinorant,
-    CusumDiagram,
     StepEstimate,
-    cusum_diagram,
-    greatest_convex_minorant,
     inverse_process,
-    left_derivative,
     log_likelihood,
     npmle_fit,
     pava_fit,
@@ -18,16 +13,12 @@ from .limits import (
     DEFAULT_UNIT_GRID,
     LimitBatch,
     PathGrid,
-    brownian_path,
     chernoff_abs_mean,
     chernoff_cov_integral,
-    chernoff_sample,
-    l1_fast_limit_sample,
     mu_n,
     sample_limit_batch,
     scaled_chernoff_constant,
     sigma_sq,
-    slow_limit_sample,
 )
 from .metrics import QuadratureCfg, hellinger, ks_two_sample, l1_error, sup_norm_on
 from .model import (

@@ -6,8 +6,9 @@ be overridden with ``--set key=value``.  ``emit-config`` prints the
 canonical default file for a command, and emit -> parse -> emit is a
 fixed point.
 
-Exit codes: 0 success, 2 input or validation error, 3 numerical failure
-(quadrature or grid escape), 4 acceptance-check failure under --check.
+Exit codes: 0 success, 2 input or validation error (unreadable files
+included), 3 numerical failure (quadrature or grid escape), 4
+acceptance-check failure under --check.
 """
 
 from __future__ import annotations
@@ -666,7 +667,7 @@ def main(argv=None) -> int:
         cfg = parse_config_text(args.command, text)
         cfg = _apply_overrides(args.command, cfg, args)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (QuadratureError, GridEscapeError) as exc:

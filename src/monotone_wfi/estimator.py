@@ -4,10 +4,17 @@ The fitted curve at the i-th order statistic is the left-hand slope of
 the greatest convex minorant of the cumulative-sum diagram at the
 cumulative sample fraction i/n; between order statistics it is extended
 as a right-continuous step function that is 0 left of the data and
-constant at and beyond the largest point.  A weighted pool-adjacent-
-violators pass provides an independent oracle for the same fit, and the
-argmin of the cusum polygon minus a linear ramp provides the estimator's
-generalized inverse.
+constant at and beyond the largest point.
+
+The minorant is the isotonic (pool-adjacent-violators) fit of the block
+label means, so its vertices are read off the blocks of
+``scipy.optimize.isotonic_regression``.  The diagram is kept in integer
+counts, and the blocks are accepted only after an integer certificate
+proves them to be the exact hull; otherwise the exact monotone-stack
+hull :func:`lower_hull_indices` is used.  A pure-Python weighted
+pooling pass (:func:`pava_fit`) is kept as an independent oracle, and
+the argmin of the cusum polygon minus a linear ramp gives the
+estimator's generalized inverse.
 """
 
 from __future__ import annotations
@@ -16,61 +23,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .model import Sample
 
 __all__ = [
-    "CusumDiagram",
-    "ConvexMinorant",
     "StepEstimate",
-    "cusum_diagram",
-    "greatest_convex_minorant",
     "lower_hull_indices",
-    "left_derivative",
     "npmle_fit",
     "npmle_values",
     "pava_fit",
     "inverse_process",
     "switch_check",
-    "switch_check_weak",
     "log_likelihood",
-    "empirical_cdf_at",
 ]
-
-
-@dataclass(frozen=True)
-class CusumDiagram:
-    """Cumulative label sums against cumulative weight fractions.
-
-    ``ts[0] = 0 < ts[1] < ... < ts[K] = 1``; for a genuine cusum ``vs[i]``
-    is 1/n times the number of ones among the first i blocks (``vs[0] = 0``,
-    nondecreasing).  General polygon ordinates are accepted so minorants of
-    synthetic diagrams can be studied with the same machinery.
-    """
-
-    ts: np.ndarray
-    vs: np.ndarray
-
-    def __post_init__(self) -> None:
-        ts = np.asarray(self.ts, dtype=float)
-        vs = np.asarray(self.vs, dtype=float)
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "vs", vs)
-        if ts.size < 2 or ts[0] != 0.0 or abs(ts[-1] - 1.0) > 1e-12:
-            raise ValueError("diagram abscissae must run from 0 to 1")
-        if not np.all(np.diff(ts) > 0):
-            raise ValueError("diagram abscissae must be strictly increasing")
-        if ts.shape != vs.shape or not np.all(np.isfinite(vs)):
-            raise ValueError("diagram ordinates must be finite, one per abscissa")
-
-
-@dataclass(frozen=True)
-class ConvexMinorant:
-    """Lower convex hull of a diagram: vertices plus segment slopes."""
-
-    hull_ts: np.ndarray
-    hull_vs: np.ndarray
-    slopes: np.ndarray  # slope of segment (hull_ts[j-1], hull_ts[j]]
 
 
 @dataclass(frozen=True)
@@ -118,12 +84,12 @@ class StepEstimate:
         return cls(np.asarray(xs, dtype=float)[keep], fitted[keep], n)
 
 
-def cusum_diagram(s: Sample) -> CusumDiagram:
-    """Diagram of cumulative ones over cumulative weight fractions."""
-    n = s.n
-    ts = np.concatenate(([0.0], np.cumsum(s.weights) / n))
-    vs = np.concatenate(([0.0], np.cumsum(s.ones) / n))
-    return CusumDiagram(ts, vs)
+def _cusums(s: Sample) -> tuple[np.ndarray, np.ndarray]:
+    """Integer cusum diagram: cumulative weights and cumulative ones from 0."""
+    return (
+        np.concatenate(([0], np.cumsum(s.weights))),
+        np.concatenate(([0], np.cumsum(s.ones))),
+    )
 
 
 def lower_hull_indices(ts, vs) -> np.ndarray:
@@ -150,38 +116,49 @@ def lower_hull_indices(ts, vs) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def greatest_convex_minorant(d: CusumDiagram) -> ConvexMinorant:
-    """Greatest convex function below the diagram (its lower convex hull)."""
-    keep = lower_hull_indices(d.ts, d.vs)
-    hts = d.ts[keep]
-    hvs = d.vs[keep]
-    slopes = np.diff(hvs) / np.diff(hts)
-    return ConvexMinorant(hts, hvs, slopes)
+def _minorant_indices(cw: np.ndarray, co: np.ndarray) -> np.ndarray:
+    """Vertex indices of the greatest convex minorant of an integer diagram.
 
-
-def left_derivative(m: ConvexMinorant, t: float) -> float:
-    """Left-hand slope of the minorant at ``t`` in (0, 1]."""
-    if t <= 0.0:
-        raise ValueError("left derivative requires t > 0")
-    j = int(np.searchsorted(m.hull_ts, t, side="left"))
-    j = min(j, len(m.hull_ts) - 1)
-    return float(m.slopes[j - 1])
+    ``cw`` (strictly increasing) and ``co`` are int64 arrays, in practice
+    the cusums of :func:`_cusums`.  The block boundaries of the isotonic fit of the increment ratios are
+    the minorant's vertices, but the fit pools in floating point and can
+    split a block whose pooled means differ only by rounding (unit
+    weights, labels ``111011011001001111001001000010``: blocks
+    ``[0, 28, 30]`` against the hull ``[0, 30]``).  The blocks are
+    therefore accepted only under an exact integer certificate: segment
+    slopes strictly increasing (cross-multiplied) and every diagram point
+    on or above its segment.  Together these make the polygon through the
+    block ends the minorant, with every vertex a strict kink, which is
+    exactly the output of :func:`lower_hull_indices`; when the certificate
+    fails that stack is used instead.  For the cusums of n draws every
+    product stays below ``n**2``, so int64 is exact for ``n`` below 3e9.
+    """
+    # slices rather than np.diff: its overhead dominates on small samples
+    dw, do = cw[1:] - cw[:-1], co[1:] - co[:-1]
+    blocks = isotonic_regression(do / dw, weights=dw).blocks
+    vw, vo = cw[blocks], co[blocks]
+    sw, so = vw[1:] - vw[:-1], vo[1:] - vo[:-1]
+    lens = blocks[1:] - blocks[:-1]
+    # the running cross product against each point's own segment is 0 at
+    # every block end, so one cumsum over all increments covers every block
+    above = np.cumsum(do * np.repeat(sw, lens) - dw * np.repeat(so, lens))
+    if (so[:-1] * sw[1:] < so[1:] * sw[:-1]).all() and above.min() >= 0:
+        return blocks
+    return lower_hull_indices(cw, co)
 
 
 def npmle_values(s: Sample) -> np.ndarray:
     """Maximum-likelihood fitted values at the sample points.
 
-    The hull runs in integer cumulative coordinates (counts rather than
-    fractions), which leaves every cross product exact and every segment
-    slope a correctly rounded ratio of counts, so the fitted values are
+    The minorant runs in integer cumulative coordinates (counts rather
+    than fractions), so its vertices are exact and every segment slope is
+    a correctly rounded ratio of counts: the fitted values are
     nondecreasing and within [0, 1] with no epsilon games.
     """
-    cw = np.concatenate(([0], np.cumsum(s.weights)))
-    co = np.concatenate(([0], np.cumsum(s.ones)))
-    keep = lower_hull_indices(cw, co)
+    cw, co = _cusums(s)
+    keep = _minorant_indices(cw, co)
     slopes = np.diff(co[keep]) / np.diff(cw[keep])
-    j = np.searchsorted(cw[keep], cw[1:], side="left")
-    return slopes[j - 1]
+    return np.repeat(slopes, np.diff(keep))
 
 
 def npmle_fit(s: Sample) -> StepEstimate:
@@ -232,20 +209,18 @@ def inverse_process(s: Sample, a: float) -> tuple[float, float]:
     ties (e.g. ``a`` equal to a block mean) break to the largest abscissa
     as the supremum-of-minimizers convention demands.
     """
-    i = _inverse_index(s, a)
-    cw = np.concatenate(([0], np.cumsum(s.weights)))
+    cw, co = _cusums(s)
+    i = _inverse_index(cw, co, a)
     grid_t = float(cw[i] / s.n)
     x_value = float(s.xs[i - 1]) if i > 0 else -np.inf
     return grid_t, x_value
 
 
-def _inverse_index(s: Sample, a: float) -> int:
+def _inverse_index(cw: np.ndarray, co: np.ndarray, a: float) -> int:
     """Index of the largest exact minimizer of ``cusum - a * ramp``."""
     if not 0.0 <= a <= 1.0:
         raise ValueError("level a must lie in [0, 1]")
-    cw = np.concatenate(([0], np.cumsum(s.weights)))
-    co = np.concatenate(([0], np.cumsum(s.ones)))
-    crit = (co - a * cw) / s.n
+    crit = (co - a * cw) / cw[-1]
     near = np.flatnonzero(crit <= crit.min() + 1e-12)
     if near.size == 1:
         return int(near[0])
@@ -255,22 +230,12 @@ def _inverse_index(s: Sample, a: float) -> int:
     return int(near[max(k for k, key in enumerate(keys) if key == best)])
 
 
-def empirical_cdf_at(s: Sample, x: float) -> float:
-    """Weighted empirical distribution function of the features at ``x``."""
-    k = int(np.searchsorted(s.xs, x, side="right"))
-    return float(np.cumsum(s.weights)[k - 1] / s.n) if k > 0 else 0.0
-
-
-def _fitted_value_exact(s: Sample, x: float) -> Fraction:
-    """Fitted value at ``x`` as an exact ratio of label and weight counts."""
-    k = int(np.searchsorted(s.xs, x, side="right"))
+def _fitted_value_exact(cw: np.ndarray, co: np.ndarray, k: int) -> Fraction:
+    """Fitted value at the k-th block as an exact ratio of counts (0 at k = 0)."""
     if k == 0:
         return Fraction(0)
-    cw = np.concatenate(([0], np.cumsum(s.weights)))
-    co = np.concatenate(([0], np.cumsum(s.ones)))
-    keep = lower_hull_indices(cw, co)
-    j = int(np.searchsorted(cw[keep], cw[k], side="left"))
-    j = min(max(j, 1), keep.size - 1)
+    keep = _minorant_indices(cw, co)
+    j = int(np.searchsorted(keep, k))
     a, b = int(keep[j - 1]), int(keep[j])
     return Fraction(int(co[b] - co[a]), int(cw[b] - cw[a]))
 
@@ -283,27 +248,10 @@ def switch_check(s: Sample, x: float, a: float) -> dict:
     exact rational arithmetic, so the equivalence holds for every ``x``
     within the sample range and every ``a`` in [0, 1], ties included.
     """
-    lhs = _fitted_value_exact(s, x) > Fraction(a)
+    cw, co = _cusums(s)
     k = int(np.searchsorted(s.xs, x, side="right"))
-    rhs = _inverse_index(s, a) < k
-    return {"lhs": bool(lhs), "rhs": bool(rhs)}
-
-
-def switch_check_weak(s: Sample, x: float, a: float) -> dict:
-    """Non-strict variant, exposed under an explicit tie convention.
-
-    With the largest-minimizer inverse, the textbook equivalence
-    ``fit(x) >= a  iff  inverse(a) <= F_n(x)`` fails on half-open
-    minimizer sets, so the right-hand side here is taken as
-    ``inverse(a) < F_n(x)``, or equality of the two with the fitted value
-    still reaching ``a`` at ``x``.  This is a documented convention, not a
-    contract; :func:`switch_check` is the tested form.
-    """
-    fit_x = _fitted_value_exact(s, x)
-    lhs = fit_x >= Fraction(a)
-    k = int(np.searchsorted(s.xs, x, side="right"))
-    i = _inverse_index(s, a)
-    rhs = i < k or (i == k and fit_x >= Fraction(a))
+    lhs = _fitted_value_exact(cw, co, k) > Fraction(a)
+    rhs = _inverse_index(cw, co, a) < k
     return {"lhs": bool(lhs), "rhs": bool(rhs)}
 
 

@@ -41,8 +41,6 @@ __all__ = [
     "fit_loglog_slope",
     "expected_rate_slope",
     "run_rate_study",
-    "run_pointwise_rate_study",
-    "run_l1_rate_study",
     "run_limit_comparison",
     "run_lower_bound_audit",
     "run_tail_bound_probe",
@@ -208,6 +206,10 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
     boundary layer); the decomposition goes into the summary and the
     manifest.
     """
+    if len(cfg.n_list) < 3:
+        raise ValueError(
+            f"rate study needs at least 3 sample sizes for its slope fits, got {len(cfg.n_list)}"
+        )
     scn = cfg.scenario
     gamma = scn.impact_exponent
     tasks = [
@@ -301,24 +303,6 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         summary,
         manifest,
     )
-
-
-def run_pointwise_rate_study(cfg: StudyConfig) -> StudyResult:
-    """Rate study reported for the pointwise error at ``x0``."""
-    res = run_rate_study(cfg)
-    res.manifest["flags"] = {
-        k: v for k, v in res.manifest["flags"].items() if "pointwise" in k
-    }
-    return res
-
-
-def run_l1_rate_study(cfg: StudyConfig) -> StudyResult:
-    """Rate study reported for the integrated error, with centering check."""
-    res = run_rate_study(cfg)
-    res.manifest["flags"] = {
-        k: v for k, v in res.manifest["flags"].items() if "pointwise" not in k
-    }
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Samplers for every limit law arising in the weak-impact scenario.
 
 All samplers discretize Gaussian paths on a fixed grid and are pure
-functions of (parameters, grid, seed).  Slope-type laws are obtained as
-the left derivative of the greatest convex minorant of the simulated
-path, computed through isotonic regression of its increments (the two
-are the same object; the equivalence is exercised in the test suite
-against the hull construction used by the estimator).
+functions of (parameters, grid, seed); each takes a whole batch of
+paths.  Slope-type laws are the left slopes of the greatest convex
+minorant of a simulated path: ``scipy.optimize.isotonic_regression`` of
+the path increments gives those slopes times the grid step, the same
+pooling the estimator module uses for its minorant.  The test suite
+checks the slopes against the monotone-stack hull.
 
 Grid policy: argmin-type samplers live on a two-sided window [-S, S]
 with quadratic drift confining the minimizer; if a draw lands in the
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .estimator import lower_hull_indices
 from .metrics import QuadratureCfg, adaptive_simpson
 from .model import FeatureLaw, LinkSpec, Scenario, link_derivative, link_eval
 from .streams import stream
@@ -36,19 +36,13 @@ __all__ = [
     "DEFAULT_UNIT_GRID",
     "DEFAULT_EDGE_GRID",
     "LAW_TAGS",
-    "brownian_path",
     "brownian_paths",
-    "chernoff_sample",
     "chernoff_batch",
-    "argmin_quadratic_sample",
     "argmin_quadratic_batch",
     "scaled_chernoff_constant",
-    "slow_limit_sample",
     "slow_limit_batch",
     "boundary_drift",
-    "boundary_limit_sample",
     "boundary_limit_batch",
-    "l1_fast_limit_sample",
     "l1_fast_batch",
     "chernoff_abs_mean",
     "chernoff_cov_integral",
@@ -57,7 +51,6 @@ __all__ = [
     "local_width",
     "boundary_term",
     "sigma_sq",
-    "gcm_left_derivative_on_grid",
     "sample_limit_batch",
 ]
 
@@ -140,11 +133,6 @@ def brownian_paths(grid: PathGrid, m: int, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def brownian_path(grid: PathGrid, seed_or_rng) -> np.ndarray:
-    """One path; convenience wrapper around :func:`brownian_paths`."""
-    return brownian_paths(grid, 1, _as_rng(seed_or_rng))[0]
-
-
 def _argmin_last(values: np.ndarray) -> np.ndarray:
     """Row argmin with ties broken to the largest index."""
     return values.shape[1] - 1 - np.argmin(values[:, ::-1], axis=1)
@@ -192,36 +180,13 @@ def argmin_quadratic_batch(
     )
 
 
-def argmin_quadratic_sample(grid: PathGrid, seed_or_rng, a=1.0, b=1.0, c=0.0) -> float:
-    return float(argmin_quadratic_batch(grid, 1, seed_or_rng, a, b, c)[0])
-
-
 def chernoff_batch(grid: PathGrid, m: int, seed_or_rng) -> np.ndarray:
     """Draws of ``argmin_s {Z(s) + s^2}``."""
     return argmin_quadratic_batch(grid, m, seed_or_rng, 1.0, 1.0, 0.0)
 
 
-def chernoff_sample(grid: PathGrid, seed_or_rng) -> float:
-    return float(chernoff_batch(grid, 1, seed_or_rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # greatest-convex-minorant slope samplers
-
-
-def gcm_left_derivative_on_grid(s: np.ndarray, f: np.ndarray, at: float) -> float:
-    """Left slope at ``at`` of the greatest convex minorant of (s, f).
-
-    Hull-based evaluation for a single path; used by tests and the
-    deterministic reductions.  ``at`` must lie strictly above the first
-    grid point.
-    """
-    keep = lower_hull_indices(s, f)
-    hs = s[keep]
-    hv = f[keep]
-    j = int(np.searchsorted(hs, at, side="left"))
-    j = min(max(j, 1), hs.size - 1)
-    return float((hv[j] - hv[j - 1]) / (hs[j] - hs[j - 1]))
 
 
 def _gcm_slope_batch(
@@ -304,10 +269,6 @@ def slow_limit_batch(
         "minorant block at the origin kept touching the window boundary "
         f"after 3 doublings (last half-width {g.half_width})"
     )
-
-
-def slow_limit_sample(beta, link, law, x0, grid, seed_or_rng) -> float:
-    return float(slow_limit_batch(beta, link, law, x0, grid, 1, seed_or_rng)[0])
 
 
 def scaled_chernoff_constant(
@@ -407,10 +368,6 @@ def boundary_limit_batch(
     return out
 
 
-def boundary_limit_sample(beta, c, link, law, x0, grid, seed_or_rng) -> float:
-    return float(boundary_limit_batch(beta, c, link, law, x0, grid, 1, seed_or_rng)[0])
-
-
 def l1_fast_batch(
     link: LinkSpec, law: FeatureLaw, grid: PathGrid, m: int, seed_or_rng
 ) -> np.ndarray:
@@ -431,10 +388,6 @@ def l1_fast_batch(
         w = brownian_paths(grid, k, rng)
         out[start : start + k] = sigma * (w[:, -1] - 2.0 * np.min(w, axis=1))
     return out
-
-
-def l1_fast_limit_sample(link, law, grid, seed_or_rng) -> float:
-    return float(l1_fast_batch(link, law, grid, 1, seed_or_rng)[0])
 
 
 # ---------------------------------------------------------------------------

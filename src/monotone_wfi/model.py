@@ -343,16 +343,6 @@ class FeatureLaw:
             out = 0.5 * (lo + hi)
         return float(out) if scalar else out
 
-    def density_derivative(self, x) -> np.ndarray | float:
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        t = self.half_width
-        if self.kind == "uniform":
-            out = np.zeros_like(x)
-        else:
-            out = np.where(np.abs(x) <= t, self.tilt * 3.0 * x / t**3, 0.0)
-        return float(out) if scalar else out
-
     @property
     def sup_density(self) -> float:
         if self.kind == "uniform":
@@ -361,12 +351,11 @@ class FeatureLaw:
 
 
 def feature_eval(law: FeatureLaw, which: str, u):
-    """Dispatch to density / cdf / quantile / density_derivative."""
+    """Dispatch to density / cdf / quantile."""
     table = {
         "density": law.density,
         "cdf": law.cdf,
         "quantile": law.quantile,
-        "density_derivative": law.density_derivative,
     }
     if which not in table:
         raise ValueError(f"unknown feature functional {which!r}")
@@ -501,6 +490,8 @@ def sample_from_csv_text(text: str) -> Sample:
             y = float(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric field") from None
+        if not math.isfinite(x):
+            raise ValueError(f"line {lineno}: feature x must be finite")
         if y not in (0.0, 1.0):
             raise ValueError(f"line {lineno}: label must be 0 or 1")
         xs.append(x)

@@ -96,6 +96,22 @@ class TestFitCommand:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_x", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, capsys, bad_x):
+        data = tmp_path / "bad.csv"
+        _write(data, f"x,y\n1,0\n{bad_x},1\n")
+        code = main(["fit", "--input", str(data), "--output-prefix", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "finite" in err
+
+    def test_missing_input_exits_2_with_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["fit", "--input", str(missing), "--output-prefix", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.csv" in err
+
     def test_header_required(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         _write(data, "a,b\n1,0\n")

@@ -1,30 +1,35 @@
-"""Cusum diagram, convex minorant, fits, inverse process, switch relation."""
+"""Cusum diagram, minorant kernel, fits, inverse process, switch relation."""
 
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from monotone_wfi.estimator import (
-    CusumDiagram,
     StepEstimate,
-    cusum_diagram,
-    empirical_cdf_at,
-    greatest_convex_minorant,
     inverse_process,
-    left_derivative,
     log_likelihood,
     lower_hull_indices,
     npmle_fit,
     npmle_values,
     pava_fit,
     switch_check,
-    switch_check_weak,
 )
+from monotone_wfi import estimator
+from monotone_wfi.estimator import _cusums, _fitted_value_exact, _minorant_indices
 from monotone_wfi.model import FeatureLaw, LinkSpec, Sample, Scenario, draw_sample
 from monotone_wfi.streams import stream
 
 S2 = Sample.from_draws([1.0, 2.0], [0, 1])
 S4 = Sample.from_draws([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1])
+
+# unit weights, x = 1..30: scipy's pooling leaves blocks [0, 28, 30] with
+# means 0.49999999999999994 and 0.5, while the exact hull is [0, 30]
+SPLIT_LABELS = [int(c) for c in "111011011001001111001001000010"]
 
 
 def _random_sample(rng, n_max=200):
@@ -34,94 +39,155 @@ def _random_sample(rng, n_max=200):
     return Sample.from_draws(xs, ys)
 
 
+def _diagram(dw, do):
+    """Integer diagram from positive abscissa and arbitrary ordinate steps."""
+    return (
+        np.concatenate(([0], np.cumsum(dw))).astype(np.int64),
+        np.concatenate(([0], np.cumsum(do))).astype(np.int64),
+    )
+
+
+def _assert_is_minorant(cw, co, keep):
+    """Exact hull properties: slopes strictly increasing, every point on or above."""
+    hw, ho = cw[keep], co[keep]
+    slopes = [Fraction(int(b), int(a)) for a, b in zip(np.diff(hw), np.diff(ho))]
+    assert all(s0 < s1 for s0, s1 in zip(slopes, slopes[1:]))
+    assert keep[0] == 0 and keep[-1] == cw.size - 1
+    for i in range(cw.size):
+        j = min(max(int(np.searchsorted(hw, cw[i])), 1), keep.size - 1)
+        line = Fraction(int(ho[j - 1])) + slopes[j - 1] * int(cw[i] - hw[j - 1])
+        assert co[i] >= line
+        if i in keep:
+            assert co[i] == line
+
+
 class TestCusumDiagram:
     def test_two_point_example(self):
-        d = cusum_diagram(S2)
-        assert np.allclose(d.ts, [0, 0.5, 1])
-        assert np.allclose(d.vs, [0, 0, 0.5])
+        cw, co = _cusums(S2)
+        assert list(cw) == [0, 1, 2]
+        assert list(co) == [0, 0, 1]
 
     def test_all_zero_labels(self):
-        d = cusum_diagram(Sample.from_draws([1.0, 2.0, 3.0], [0, 0, 0]))
-        assert np.all(d.vs == 0)
+        _, co = _cusums(Sample.from_draws([1.0, 2.0, 3.0], [0, 0, 0]))
+        assert np.all(co == 0)
 
     def test_four_point_example(self):
-        d = cusum_diagram(S4)
-        assert np.allclose(d.vs, [0, 0, 0.25, 0.25, 0.5])
+        _, co = _cusums(S4)
+        assert list(co) == [0, 0, 1, 1, 2]
 
     def test_weighted_abscissae(self):
         s = Sample.from_draws([1.0, 1.0, 1.0, 2.0], [1, 0, 1, 1])
-        d = cusum_diagram(s)
-        assert np.allclose(d.ts, [0, 0.75, 1.0])
-        assert np.allclose(d.vs, [0, 0.5, 0.75])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CusumDiagram(np.array([0.0, 0.4]), np.array([0.0, 0.1]))
+        cw, co = _cusums(s)
+        assert list(cw) == [0, 3, 4]
+        assert list(co) == [0, 2, 3]
 
 
 class TestConvexMinorant:
     def test_chord_below_middle_point(self):
-        m = greatest_convex_minorant(
-            CusumDiagram(np.array([0, 0.5, 1.0]), np.array([0, 1.0, 1.0]))
-        )
-        assert np.allclose(m.hull_ts, [0, 1])
-        assert np.allclose(m.slopes, [1.0])
+        cw, co = _diagram([1, 1], [2, 0])
+        assert list(_minorant_indices(cw, co)) == [0, 2]
 
     def test_already_convex_kept(self):
-        ts = np.array([0, 1 / 3, 2 / 3, 1.0])
-        vs = np.array([0, -1.0, -1.0, 0.0])
-        m = greatest_convex_minorant(CusumDiagram(ts, vs))
-        assert np.allclose(m.hull_ts, ts)
-        assert np.allclose(m.slopes, [-3, 0, 3])
+        cw, co = _diagram([1, 1, 1], [-3, 0, 3])
+        assert list(_minorant_indices(cw, co)) == [0, 1, 2, 3]
 
     def test_idempotent_on_strictly_convex(self):
-        ts = np.linspace(0, 1, 9)
-        vs = (ts - 0.4) ** 2
-        m = greatest_convex_minorant(CusumDiagram(ts, vs))
-        assert np.array_equal(m.hull_ts, ts)
-        m2 = greatest_convex_minorant(CusumDiagram(m.hull_ts, m.hull_vs))
-        assert np.array_equal(m2.hull_ts, m.hull_ts)
+        cw = np.arange(9, dtype=np.int64)
+        co = (5 * cw - 16) ** 2
+        keep = _minorant_indices(cw, co)
+        assert np.array_equal(keep, np.arange(9))
+        again = _minorant_indices(cw[keep], co[keep])
+        assert np.array_equal(keep[again], keep)
 
     def test_minorant_below_diagram_slopes_increasing(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            k = int(rng.integers(2, 40))
-            ts = np.concatenate(([0.0], np.sort(rng.uniform(0, 1, k - 1)), [1.0]))
-            ts = np.unique(ts)
-            vs = np.concatenate(([0.0], np.cumsum(rng.uniform(0, 0.2, ts.size - 1))))
-            m = greatest_convex_minorant(CusumDiagram(ts, vs))
-            assert np.all(np.diff(m.slopes) > 0)
-            hull_vals = np.interp(ts, m.hull_ts, m.hull_vs)
-            assert np.all(hull_vals <= vs + 1e-12)
-            keep = np.isin(ts, m.hull_ts)
-            assert np.allclose(hull_vals[keep], vs[keep])
+            k = int(rng.integers(1, 40))
+            cw, co = _diagram(rng.integers(1, 5, k), rng.integers(-3, 4, k))
+            keep = _minorant_indices(cw, co)
+            _assert_is_minorant(cw, co, keep)
+            assert np.array_equal(keep, lower_hull_indices(cw, co))
 
     def test_hull_indices_on_plain_arrays(self):
         idx = lower_hull_indices([0, 1, 2, 3], [0, -1, 0.5, 0.2])
         assert list(idx) == [0, 1, 3]
 
+    def test_float_split_block_falls_back_to_exact_hull(self):
+        s = Sample.from_draws(np.arange(1.0, 31.0), SPLIT_LABELS)
+        cw, co = _cusums(s)
+        raw = isotonic_regression(np.diff(co) / np.diff(cw), weights=np.diff(cw)).blocks
+        assert list(raw) == [0, 28, 30]
+        keep = _minorant_indices(cw, co)
+        assert list(keep) == [0, 30]
+        assert np.array_equal(keep, lower_hull_indices(cw, co))
+        assert np.all(npmle_values(s) == 0.5)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[0, 4], [0, 1, 4], [0, 1, 2, 3, 4], [0, 2, 4]],
+        ids=["point-below-one-segment", "point-below-last-segment", "slopes-not-increasing", "both"],
+    )
+    def test_certificate_rejects_wrong_blocks(self, monkeypatch, blocks):
+        # S4's hull is [0, 1, 3, 4]; any other block set must fail a check
+        cw, co = _cusums(S4)
+        fake = np.array(blocks)
+        monkeypatch.setattr(
+            estimator, "isotonic_regression", lambda *a, **k: SimpleNamespace(blocks=fake)
+        )
+        assert list(_minorant_indices(cw, co)) == [0, 1, 3, 4]
+
+
+@st.composite
+def _samples(draw):
+    """Samples with ties (duplicate features pool into weights) and fixed labels."""
+    n = draw(st.integers(1, 80))
+    xs = draw(st.lists(st.integers(0, draw(st.integers(0, 40))), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["mixed", "mixed", "zeros", "ones"]))
+    if kind == "mixed":
+        ys = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        ys = [int(kind == "ones")] * n
+    return Sample.from_draws(np.array(xs, dtype=float), np.array(ys))
+
+
+class TestMinorantKernelProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_samples())
+    @example(Sample.from_draws([0.0], [1]))
+    @example(Sample.from_draws([0.0], [0]))
+    @example(Sample.from_draws(np.arange(30.0), SPLIT_LABELS))
+    def test_kernel_is_exact_hull_and_matches_pava(self, s):
+        cw, co = _cusums(s)
+        keep = _minorant_indices(cw, co)
+        assert np.array_equal(keep, lower_hull_indices(cw, co))
+        _assert_is_minorant(cw, co, keep)
+        assert np.max(np.abs(npmle_values(s) - pava_fit(s)(s.xs))) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(-6, 6)), min_size=1, max_size=60
+        )
+    )
+    def test_kernel_on_general_integer_diagrams(self, steps):
+        dw, do = zip(*steps)
+        cw, co = _diagram(dw, do)
+        keep = _minorant_indices(cw, co)
+        assert np.array_equal(keep, lower_hull_indices(cw, co))
+        _assert_is_minorant(cw, co, keep)
+
 
 class TestLeftDerivative:
     def test_single_segment(self):
-        m = greatest_convex_minorant(
-            CusumDiagram(np.array([0, 1.0]), np.array([0, 1.0]))
-        )
-        assert left_derivative(m, 0.7) == 1.0
+        s = Sample.from_draws([1.0, 2.0, 3.0], [1, 1, 1])
+        cw, co = _cusums(s)
+        assert [_fitted_value_exact(cw, co, k) for k in (1, 2, 3)] == [1, 1, 1]
 
     def test_segment_boundaries_take_left_limit(self):
-        ts = np.array([0, 1 / 3, 2 / 3, 1.0])
-        vs = np.array([0, -1.0, -1.0, 0.0])
-        m = greatest_convex_minorant(CusumDiagram(ts, vs))
-        assert left_derivative(m, 2 / 3) == 0.0
-        assert left_derivative(m, 2 / 3 + 1e-9) == pytest.approx(3.0, abs=1e-12)
-        assert left_derivative(m, 1 / 3) == pytest.approx(-3.0, abs=1e-12)
-
-    def test_nonpositive_point_rejected(self):
-        m = greatest_convex_minorant(
-            CusumDiagram(np.array([0, 1.0]), np.array([0, 1.0]))
-        )
-        with pytest.raises(ValueError):
-            left_derivative(m, 0.0)
+        cw, co = _cusums(S4)
+        assert list(_minorant_indices(cw, co)) == [0, 1, 3, 4]
+        vals = [_fitted_value_exact(cw, co, k) for k in (1, 2, 3, 4)]
+        assert vals == [0, Fraction(1, 2), Fraction(1, 2), 1]
 
 
 def _brute_force_best_monotone(sample, grid_step=0.01):
@@ -336,13 +402,9 @@ class TestSwitchRelation:
                     # exact one, tying the record back to the fitted curve
                     assert rec["lhs"] == bool(fit(x) > a)
                     grid_t, _ = inverse_process(s, a)
-                    assert rec["rhs"] == bool(grid_t < empirical_cdf_at(s, x))
-
-    def test_weak_form_convention_documented(self):
-        rec = switch_check_weak(S2, 1.0, 0.6)
-        assert rec["lhs"] == rec["rhs"]
-        rec = switch_check_weak(S2, 2.0, 0.6)
-        assert rec["lhs"] == rec["rhs"]
+                    k = int(np.searchsorted(s.xs, x, side="right"))
+                    cdf_x = s.weights[:k].sum() / s.n
+                    assert rec["rhs"] == bool(grid_t < cdf_x)
 
 
 class TestStepEstimate:

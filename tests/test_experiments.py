@@ -9,13 +9,12 @@ from monotone_wfi.experiments import (
     expected_rate_slope,
     fit_loglog_slope,
     run_consistency_study,
-    run_l1_rate_study,
     run_limit_comparison,
     run_lower_bound_audit,
-    run_pointwise_rate_study,
     run_rate_study,
     run_tail_bound_probe,
 )
+from monotone_wfi import experiments
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario
 
 LOGISTIC = LinkSpec("logistic")
@@ -116,12 +115,14 @@ class TestRateStudy:
         gap = abs(halves[0][0] - halves[1][0])
         assert gap <= 2 * np.hypot(halves[0][1], halves[1][1]) + 0.05
 
-    def test_wrapper_flag_selection(self):
-        cfg = StudyConfig(_scn(0.8), (64, 128, 256), 50, seed_base=9, centering_draws=0)
-        pw = run_pointwise_rate_study(cfg)
-        assert all("pointwise" in k for k in pw.manifest["flags"])
-        l1 = run_l1_rate_study(cfg)
-        assert all("pointwise" not in k for k in l1.manifest["flags"])
+    def test_two_sizes_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the size check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        cfg = StudyConfig(_scn(0.25), (2000, 4000), 50, threads=1, centering_draws=0)
+        with pytest.raises(ValueError, match="at least 3 sample sizes"):
+            run_rate_study(cfg)
 
 
 class TestLimitComparison:

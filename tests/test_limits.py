@@ -16,14 +16,11 @@ from monotone_wfi.limits import (
     boundary_drift,
     boundary_limit_batch,
     boundary_term,
-    brownian_path,
     brownian_paths,
     chernoff_abs_mean,
     chernoff_batch,
     chernoff_cov_integral,
-    chernoff_sample,
     edge_layer_constant,
-    gcm_left_derivative_on_grid,
     l1_fast_batch,
     local_width,
     mu_n,
@@ -33,7 +30,7 @@ from monotone_wfi.limits import (
     slow_limit_batch,
 )
 from monotone_wfi.limits import _gcm_slope_batch
-from monotone_wfi.estimator import npmle_fit
+from monotone_wfi.estimator import lower_hull_indices, npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
 from monotone_wfi.streams import stream
@@ -48,6 +45,14 @@ REF_CHERNOFF_ABS_MEAN = 0.41304
 
 COARSE = PathGrid(4.0, 0.004, True)
 COARSE_UNIT = PathGrid(1.0, 0.001, False)
+
+
+def _hull_left_slope(s, f, at):
+    """Left slope at ``at`` of the minorant of (s, f), read off the stack hull."""
+    keep = lower_hull_indices(s, f)
+    hs, hv = s[keep], f[keep]
+    j = min(max(int(np.searchsorted(hs, at, side="left")), 1), hs.size - 1)
+    return float((hv[j] - hv[j - 1]) / (hs[j] - hs[j - 1]))
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +84,9 @@ class TestPathGrid:
 class TestBrownianPaths:
     def test_pinned_at_origin(self):
         g = PathGrid(1.0, 0.01, True)
-        z = brownian_path(g, 1)
+        z = brownian_paths(g, 1, stream(1))[0]
         assert z[g.n_steps] == 0.0
-        w = brownian_path(PathGrid(1.0, 0.01, False), 2)
+        w = brownian_paths(PathGrid(1.0, 0.01, False), 1, stream(2))[0]
         assert w[0] == 0.0
 
     def test_variance_and_covariance(self):
@@ -116,8 +121,8 @@ class TestChernoffSampler:
         assert sd == pytest.approx(REF_CHERNOFF_SD, abs=0.004)
         assert np.abs(draws).mean() == pytest.approx(REF_CHERNOFF_ABS_MEAN, abs=0.004)
 
-    def test_scalar_wrapper_deterministic(self):
-        assert chernoff_sample(COARSE, 7) == chernoff_sample(COARSE, 7)
+    def test_batch_deterministic(self):
+        assert chernoff_batch(COARSE, 1, 7)[0] == chernoff_batch(COARSE, 1, 7)[0]
 
     def test_escape_raises_on_mis_set_grid(self):
         g = PathGrid(4.0, 0.04, True)
@@ -137,9 +142,9 @@ class TestArgminScalingLaw:
         # adding alpha + beta*s to a path shifts every minorant slope by beta
         g = PathGrid(1.0, 0.01, False)
         s = g.points()
-        z = brownian_path(g, 5)
-        base = gcm_left_derivative_on_grid(s, z, 0.5)
-        tilted = gcm_left_derivative_on_grid(s, z + 3.0 + 2.0 * s, 0.5)
+        z = brownian_paths(g, 1, stream(5))[0]
+        base = _hull_left_slope(s, z, 0.5)
+        tilted = _hull_left_slope(s, z + 3.0 + 2.0 * s, 0.5)
         assert tilted - 2.0 == pytest.approx(base, abs=1e-12)
 
 
@@ -152,7 +157,7 @@ class TestGcmSlopeMachinery:
         for at, slot in ((0.5, 49), (0.37, 36)):
             iso, _ = _gcm_slope_batch(paths, slot, g.step)
             for i in range(paths.shape[0]):
-                hull = gcm_left_derivative_on_grid(s, paths[i], at)
+                hull = _hull_left_slope(s, paths[i], at)
                 assert iso[i] == pytest.approx(hull, abs=1e-10)
 
     def test_zero_noise_slow_drift_has_flat_minorant_at_origin(self):
@@ -162,7 +167,7 @@ class TestGcmSlopeMachinery:
         s = g.points()
         for beta in (1, 3):
             drift = s ** (beta + 1)
-            val = gcm_left_derivative_on_grid(s, drift, 0.0)
+            val = _hull_left_slope(s, drift, 0.0)
             assert val == pytest.approx(0.0, abs=g.step**beta + 1e-12)
 
 
@@ -261,11 +266,11 @@ class TestBoundarySampler:
 
         pts = COARSE_UNIT.points()
         drift = _boundary_drift_grid(1, 9.0, LOGISTIC, UNIFORM, 0.0, pts)
-        val = gcm_left_derivative_on_grid(pts, drift, float(UNIFORM.cdf(0.0)))
+        val = _hull_left_slope(pts, drift, float(UNIFORM.cdf(0.0)))
         assert val == pytest.approx(0.0, abs=1e-3)
         probe = 0.9
         expect = math.sqrt(9.0) * 0.25 * (float(UNIFORM.quantile(probe)) - 0.0)
-        got = gcm_left_derivative_on_grid(pts, drift, probe)
+        got = _hull_left_slope(pts, drift, probe)
         assert got == pytest.approx(expect, abs=0.01)
 
 
