@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -364,11 +364,7 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
         {
             "law_tag": tag,
             "draws": int(batch.draws.size),
-            "grid": {
-                "half_width": batch.grid.half_width,
-                "step": batch.grid.step,
-                "two_sided": batch.grid.two_sided,
-            },
+            "grid": None if batch.grid is None else asdict(batch.grid),
             "params": batch.params,
             "seed": cfg["seed"],
         },

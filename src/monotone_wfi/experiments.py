@@ -153,6 +153,14 @@ def _rep_chunks(replicates: int, threads: int) -> list[np.ndarray]:
     return [reps[i : i + chunk] for i in range(0, replicates, chunk)]
 
 
+def _replicates(fn, heads, cfg: StudyConfig) -> list[tuple]:
+    """Records of ``fn(*head, reps)`` for every head and replicate chunk, in task order."""
+    tasks = [
+        (*head, reps) for head in heads for reps in _rep_chunks(cfg.replicates, cfg.threads)
+    ]
+    return [rec for part in _run_tasks(fn, tasks, cfg.threads) for rec in part]
+
+
 def fit_loglog_slope(ns, errors) -> tuple[float, float]:
     """OLS slope and its standard error on (log n, log error)."""
     ns = np.asarray(ns, dtype=float)
@@ -210,16 +218,13 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         raise ValueError(
             f"rate study needs at least 3 sample sizes for its slope fits, got {len(cfg.n_list)}"
         )
+    if 0 < cfg.centering_draws < 10_000:
+        raise ValueError(
+            f"centering needs 0 (off) or at least 10000 draws, got {cfg.centering_draws}"
+        )
     scn = cfg.scenario
     gamma = scn.impact_exponent
-    tasks = [
-        (scn, cfg.x0, cfg.seed_base, n, reps)
-        for n in cfg.n_list
-        for reps in _rep_chunks(cfg.replicates, cfg.threads)
-    ]
-    records: list[tuple] = []
-    for part in _run_tasks(_rate_chunk, tasks, cfg.threads):
-        records.extend(part)
+    records = _replicates(_rate_chunk, [(scn, cfg.x0, cfg.seed_base, n) for n in cfg.n_list], cfg)
     records.sort(key=lambda r: (r[0], r[1]))
     records = [(gamma,) + r for r in records]
 
@@ -355,34 +360,26 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         raise ValueError("limit comparison needs a regime")
     scn = cfg.scenario
     _check_regime(scn, cfg.regime)
+    if cfg.limit_draws < 1:
+        raise ValueError(f"limit comparison needs at least 1 limit draw, got {cfg.limit_draws}")
     gamma = scn.impact_exponent
+    tag = {
+        "slow_pointwise": "scaled_chernoff" if scn.beta == 1 else "slow_fbeta",
+        "boundary_pointwise": "boundary_gbc",
+        "fast_pointwise": "fast_w_slope",
+        "fast_l1": "l1_fast_maxA",
+    }[cfg.regime]
 
+    stats = _replicates(
+        _limit_stat_chunk, [(scn, cfg.x0, cfg.seed_base, cfg.regime, n) for n in cfg.n_list], cfg
+    )
+    stats.sort(key=lambda r: (r[0], r[1]))
     records: list[tuple] = []
     extras: dict = {"finite": {}, "limit": {}}
     ks_by_n: dict[int, float] = {}
     for n in cfg.n_list:
-        tasks = [
-            (scn, cfg.x0, cfg.seed_base, cfg.regime, n, reps)
-            for reps in _rep_chunks(cfg.replicates, cfg.threads)
-        ]
-        stats: list[tuple] = []
-        for part in _run_tasks(_limit_stat_chunk, tasks, cfg.threads):
-            stats.extend(part)
-        stats.sort(key=lambda r: r[1])
-        finite = np.array([s[2] for s in stats])
-
-        if cfg.regime == "slow_pointwise":
-            tag = "scaled_chernoff" if scn.beta == 1 else "slow_fbeta"
-            kwargs = {}
-        elif cfg.regime == "boundary_pointwise":
-            tag = "boundary_gbc"
-            kwargs = {"c": n * scn.delta(n) ** (2 * scn.beta)}
-        elif cfg.regime == "fast_pointwise":
-            tag = "fast_w_slope"
-            kwargs = {}
-        else:
-            tag = "l1_fast_maxA"
-            kwargs = {}
+        finite = np.array([s[2] for s in stats if s[0] == n])
+        kwargs = {"c": n * scn.delta(n) ** (2 * scn.beta)} if tag == "boundary_gbc" else {}
         batch = limits.sample_limit_batch(
             tag,
             cfg.limit_draws,
@@ -553,14 +550,7 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
     if 1.0 - 2.0 * scn.beta * scn.impact_exponent <= 0:
         raise ValueError("the tail probe is a slow-regime instrument")
     gamma = scn.impact_exponent
-    tasks = [
-        (scn, cfg.x0, cfg.seed_base, n, reps)
-        for n in cfg.n_list
-        for reps in _rep_chunks(cfg.replicates, cfg.threads)
-    ]
-    records: list[tuple] = []
-    for part in _run_tasks(_tail_chunk, tasks, cfg.threads):
-        records.extend(part)
+    records = _replicates(_tail_chunk, [(scn, cfg.x0, cfg.seed_base, n) for n in cfg.n_list], cfg)
     records.sort(key=lambda r: (r[0], r[1]))
 
     ns = np.array(cfg.n_list, dtype=float)
@@ -650,23 +640,12 @@ def run_consistency_study(
     half-support and flags strict decrease of the medians.
     """
     base = cfg.scenario
-    records: list[tuple] = []
-
     fixed = replace(base, impact_exponent=0.0)
-    tasks = [
-        (fixed, "hellinger", cfg.seed_base, n, reps)
-        for n in hellinger_ns
-        for reps in _rep_chunks(cfg.replicates, cfg.threads)
-    ]
+    heads = [(fixed, "hellinger", cfg.seed_base, n) for n in hellinger_ns]
     for gamma in sup_gammas:
         scn = replace(base, impact_exponent=gamma)
-        tasks.extend(
-            (scn, "supnorm", cfg.seed_base, n, reps)
-            for n in cfg.n_list
-            for reps in _rep_chunks(cfg.replicates, cfg.threads)
-        )
-    for part in _run_tasks(_consistency_chunk, tasks, cfg.threads):
-        records.extend(part)
+        heads.extend((scn, "supnorm", cfg.seed_base, n) for n in cfg.n_list)
+    records = _replicates(_consistency_chunk, heads, cfg)
     records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
 
     def med(check: str, gamma: float, n: int) -> float:

@@ -1,24 +1,24 @@
 """Samplers for every limit law arising in the weak-impact scenario.
 
-All samplers discretize Gaussian paths on a fixed grid and are pure
-functions of (parameters, grid, seed); each takes a whole batch of
-paths.  Slope-type laws are the left slopes of the greatest convex
-minorant of a simulated path: ``scipy.optimize.isotonic_regression`` of
-the path increments gives those slopes times the grid step, the same
-pooling the estimator module uses for its minorant.  The test suite
-checks the slopes against the monotone-stack hull.
+All samplers are pure functions of (parameters, grid, seed) and draw a
+whole batch.  The fast-regime L1 law is drawn exactly from its closed
+form; the others discretize Gaussian paths on a fixed grid, in chunks of
+``_CHUNK`` paths (:func:`_chunked`).  Slope-type laws are the left slopes
+of the greatest convex minorant of a simulated path: the isotonic fit of
+the path increments, checked in the tests against the monotone stack.
 
-Grid policy: argmin-type samplers live on a two-sided window [-S, S]
-with quadratic drift confining the minimizer; if a draw lands in the
-outer 10% of the window it is re-simulated on a doubled window, at most
-three times, after which a :class:`GridEscapeError` signals a mis-set
-grid.  Unit-interval samplers need no window logic.
+Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
+samplers live on a two-sided window [-S, S] with a confining drift; an
+escaped draw (argmin in the outer 10%, minorant block touching the
+boundary) is redrawn on a doubled window, at most three times, after
+which a :class:`GridEscapeError` signals a mis-set grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -118,24 +118,62 @@ def brownian_paths(grid: PathGrid, m: int, rng: np.random.Generator) -> np.ndarr
     negative-side increments are consumed from the generator first.
     """
     n = grid.n_steps
-    scale = math.sqrt(grid.step)
+    # scaled in place and summed into ``out``: each chunk allocates two
+    # path-sized arrays, not five, with the same bits
+    inc = rng.standard_normal((m, 2 * n if grid.two_sided else n))
+    inc *= math.sqrt(grid.step)
     if grid.two_sided:
-        inc = rng.standard_normal((m, 2 * n)) * scale
         out = np.empty((m, 2 * n + 1))
         out[:, n] = 0.0
-        out[:, n - 1 :: -1] = np.cumsum(inc[:, :n], axis=1)
-        out[:, n + 1 :] = np.cumsum(inc[:, n:], axis=1)
+        np.cumsum(inc[:, :n], axis=1, out=out[:, n - 1 :: -1])
+        np.cumsum(inc[:, n:], axis=1, out=out[:, n + 1 :])
         return out
-    inc = rng.standard_normal((m, n)) * scale
     out = np.empty((m, n + 1))
     out[:, 0] = 0.0
-    out[:, 1:] = np.cumsum(inc, axis=1)
+    np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
 
 
 def _argmin_last(values: np.ndarray) -> np.ndarray:
-    """Row argmin with ties broken to the largest index."""
-    return values.shape[1] - 1 - np.argmin(values[:, ::-1], axis=1)
+    """Row argmin with ties broken to the largest index.
+
+    Matches each row against its minimum, so no reversed copy of the rows is made.
+    """
+    at_min = values == values.min(axis=1, keepdims=True)
+    return values.shape[1] - 1 - np.argmax(at_min[:, ::-1], axis=1)
+
+
+def _chunked(m: int, draw):
+    """``draw(k)`` over consecutive chunks of at most ``_CHUNK`` paths, joined in order.
+
+    ``draw`` returns an array, or a tuple of arrays, with one row per path.
+    """
+    if m < 1:
+        raise ValueError(f"a batch needs at least one path, got {m}")
+    parts = [draw(min(_CHUNK, m - start)) for start in range(0, m, _CHUNK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _redraw_escapes(grid: PathGrid, m: int, draw, what: str) -> np.ndarray:
+    """``m`` draws of ``draw(g, k) -> (values, escaped)`` on window ``g``.
+
+    Escaped draws are redrawn in order on the doubled window, at most 3
+    times; ``what`` names the failure in the :class:`GridEscapeError`.
+    """
+    out = np.empty(m)
+    pending = np.arange(m)
+    g = grid
+    for level in range(4):
+        if level:
+            g = g.doubled()
+        values, escaped = _chunked(pending.size, partial(draw, g))
+        out[pending] = values
+        pending = pending[escaped]
+        if pending.size == 0:
+            return out
+    raise GridEscapeError(f"{what} after 3 window doublings (last half-width {g.half_width})")
 
 
 def argmin_quadratic_batch(
@@ -145,38 +183,24 @@ def argmin_quadratic_batch(
     a: float = 1.0,
     b: float = 1.0,
     c: float = 0.0,
-    noise: bool = True,
 ) -> np.ndarray:
-    """Draws of ``argmin_s {a Z(s) + b s^2 - c s}`` on the grid.
-
-    ``noise=False`` drops the Brownian term (deterministic parabola),
-    which is only useful for exercising the argmin plumbing.
-    """
+    """Draws of ``argmin_s {a Z(s) + b s^2 - c s}`` on the grid."""
     if not grid.two_sided:
         raise ValueError("argmin samplers need a two-sided grid")
     if b <= 0:
         raise ValueError("quadratic coefficient b must be positive")
     rng = _as_rng(seed_or_rng)
-    out = np.empty(m)
-    pending = np.arange(m)
-    g = grid
-    for level in range(4):
+
+    def draw(g: PathGrid, k: int):
         s = g.points()
-        drift = b * s * s - c * s
-        draws = np.empty(pending.size)
-        for start in range(0, pending.size, _CHUNK):
-            k = min(_CHUNK, pending.size - start)
-            paths = a * brownian_paths(g, k, rng) if noise else np.zeros((k, s.size))
-            draws[start : start + k] = s[_argmin_last(paths + drift[None, :])]
-        esc = np.abs(draws) > 0.9 * g.half_width
-        out[pending] = draws
-        pending = pending[esc]
-        if pending.size == 0:
-            return out
-        g = g.doubled()
-    raise GridEscapeError(
-        f"argmin stayed within the outer 10% after 3 window doublings "
-        f"(last half-width {g.half_width}); grid is mis-set for (a={a}, b={b}, c={c})"
+        p = brownian_paths(g, k, rng)
+        p *= a
+        p += b * s * s - c * s
+        x = s[_argmin_last(p)]
+        return x, np.abs(x) > 0.9 * g.half_width
+
+    return _redraw_escapes(
+        grid, m, draw, f"argmin stayed within the outer 10% (a={a}, b={b}, c={c})"
     )
 
 
@@ -245,29 +269,15 @@ def slow_limit_batch(
     coef = _slow_drift_coeff(beta, link, law, x0)
     sigma = link.noise_scale
     rng = _as_rng(seed_or_rng)
-    out = np.empty(m)
-    pending = np.arange(m)
-    g = grid
-    for level in range(4):
-        s = g.points()
-        drift = coef * s ** (beta + 1)
-        slot = g.n_steps - 1  # increment ending at the origin
-        draws = np.empty(pending.size)
-        esc = np.zeros(pending.size, dtype=bool)
-        for start in range(0, pending.size, _CHUNK):
-            k = min(_CHUNK, pending.size - start)
-            paths = sigma * brownian_paths(g, k, rng) + drift[None, :]
-            vals, touched = _gcm_slope_batch(paths, slot, g.step)
-            draws[start : start + k] = vals
-            esc[start : start + k] = touched
-        out[pending] = draws
-        pending = pending[esc]
-        if pending.size == 0:
-            return out
-        g = g.doubled()
-    raise GridEscapeError(
-        "minorant block at the origin kept touching the window boundary "
-        f"after 3 doublings (last half-width {g.half_width})"
+
+    def draw(g: PathGrid, k: int):
+        p = brownian_paths(g, k, rng)
+        p *= sigma
+        p += coef * g.points() ** (beta + 1)
+        return _gcm_slope_batch(p, g.n_steps - 1, g.step)  # increment ending at 0
+
+    return _redraw_escapes(
+        grid, m, draw, "minorant block at the origin kept touching the window boundary"
     )
 
 
@@ -359,35 +369,27 @@ def boundary_limit_batch(
     sigma = link.noise_scale
     slot = int(np.searchsorted(pts, f0, side="left")) - 1
     rng = _as_rng(seed_or_rng)
-    out = np.empty(m)
-    for start in range(0, m, _CHUNK):
-        k = min(_CHUNK, m - start)
-        paths = sigma * brownian_paths(grid, k, rng) + drift[None, :]
-        vals, _ = _gcm_slope_batch(paths, slot, grid.step)
-        out[start : start + k] = vals
-    return out
+
+    def draw(k: int) -> np.ndarray:
+        p = brownian_paths(grid, k, rng)
+        p *= sigma
+        p += drift
+        return _gcm_slope_batch(p, slot, grid.step)[0]
+
+    return _chunked(m, draw)
 
 
-def l1_fast_batch(
-    link: LinkSpec, law: FeatureLaw, grid: PathGrid, m: int, seed_or_rng
-) -> np.ndarray:
-    """Fast-regime L1 limit draws: ``noise_scale * (W(1) - 2 min W)``.
+def l1_fast_batch(link: LinkSpec, m: int, seed_or_rng) -> np.ndarray:
+    """Exact fast-regime L1 limit draws: ``noise_scale * chi_3``.
 
-    This is the maximum of the limiting Gaussian process written through
-    a single Brownian path; the feature law drops out because its CDF
-    maps the support onto [0, 1].  Draws are always nonnegative.
+    The limit is ``noise_scale * (W(1) - 2 min W)`` for a Brownian motion
+    ``W`` on [0, 1] (the feature law drops out because its CDF maps the
+    support onto [0, 1]).  By Pitman's 2M - X theorem ``W(1) - 2 min W``
+    has the law of the norm of a 3-D standard normal vector, which is
+    drawn directly: no grid, no path.
     """
-    if grid.two_sided or abs(grid.half_width - 1.0) > 1e-12:
-        raise ValueError("the fast-regime L1 sampler needs a one-sided grid on [0, 1]")
-    del law  # part of the interface; the law does not enter the draw
-    sigma = link.noise_scale
     rng = _as_rng(seed_or_rng)
-    out = np.empty(m)
-    for start in range(0, m, _CHUNK):
-        k = min(_CHUNK, m - start)
-        w = brownian_paths(grid, k, rng)
-        out[start : start + k] = sigma * (w[:, -1] - 2.0 * np.min(w, axis=1))
-    return out
+    return link.noise_scale * np.linalg.norm(rng.standard_normal((m, 3)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +432,20 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
     n_inc = grid.n_steps
     twice_mid = s[:-1] + s[1:]  # drift slope over each increment
     half, lo, hi = n_inc // 2, n_inc // 3, 2 * n_inc // 3
-    excess = np.empty(m)
-    for start in range(0, m, _CHUNK):
-        k = min(_CHUNK, m - start)
-        inc = np.diff(brownian_paths(grid, k, rng) + drift[None, :], axis=1)
+
+    def draw(k: int) -> np.ndarray:
+        p = brownian_paths(grid, k, rng)
+        p += drift
+        inc = np.diff(p, axis=1)
+        excess = np.empty(k)
         for i in range(k):
             slopes = isotonic_regression(inc[i]).x / grid.step
             profile = 0.5 * np.abs(slopes - twice_mid)
             level = profile[lo:hi].mean()
-            excess[start + i] = grid.step * (profile[:half].sum() - half * level)
+            excess[i] = grid.step * (profile[:half].sum() - half * level)
+        return excess
+
+    excess = _chunked(m, draw)
     return float(excess.mean()), float(excess.std(ddof=1) / math.sqrt(m))
 
 
@@ -487,22 +494,22 @@ def chernoff_cov_integral(
     s = big.points()
     n_a = int(round(a_max / a_step)) + 1
     a_values = a_step * np.arange(n_a)
-    abs_x0 = np.empty(m)
-    abs_shift = np.empty((m, n_a))
-    for start in range(0, m, _CHUNK):
-        k = min(_CHUNK, m - start)
+
+    def draw(k: int) -> np.ndarray:
         z = brownian_paths(big, k, rng)
+        shift = np.empty((k, n_a))
         for j, a in enumerate(a_values):
-            vals = z + (s[None, :] - a) ** 2
-            x_a = s[_argmin_last(vals)]
+            x_a = s[_argmin_last(z + (s - a) ** 2)]
             if np.any(np.abs(x_a) > 0.9 * big.half_width):
                 raise GridEscapeError(
                     "shifted argmin reached the enlarged window boundary; "
                     "increase the base grid half-width"
                 )
-            if j == 0:
-                abs_x0[start : start + k] = np.abs(x_a)
-            abs_shift[start : start + k, j] = np.abs(x_a - a)
+            shift[:, j] = np.abs(x_a - a)
+        return shift
+
+    abs_shift = _chunked(m, draw)
+    abs_x0 = abs_shift[:, 0]  # the shift a = 0
     cov_curve = (abs_x0[:, None] * abs_shift).mean(axis=0) - abs_x0.mean() * abs_shift.mean(
         axis=0
     )
@@ -605,11 +612,11 @@ def sigma_sq(
 
 @dataclass(frozen=True)
 class LimitBatch:
-    """Draws from one simulated limit law plus the grid and parameters."""
+    """Draws from one limit law plus its grid (None when drawn exactly) and parameters."""
 
     law_tag: str
     draws: np.ndarray
-    grid: PathGrid
+    grid: PathGrid | None
     params: dict = field(default_factory=dict)
     seed: int | None = None
 
@@ -634,9 +641,11 @@ def sample_limit_batch(
     c: float = 0.0,
     grid: PathGrid | None = None,
 ) -> LimitBatch:
-    """Generate a tagged batch of draws from one of the limit laws."""
+    """Tagged batch of ``m`` draws; ``l1_fast_maxA`` is exact and takes no grid."""
     if law_tag not in LAW_TAGS:
         raise ValueError(f"unknown law tag {law_tag!r}")
+    if m < 1:
+        raise ValueError(f"limit draws must be at least 1, got {m} draws")
     rng = stream(seed, LAW_TAGS.index(law_tag))
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":
@@ -654,11 +663,10 @@ def sample_limit_batch(
     elif law_tag == "fast_w_slope":
         grid = grid or DEFAULT_UNIT_GRID
         draws = boundary_limit_batch(beta, 0.0, link, law, x0, grid, m, rng)
-    elif law_tag == "l1_fast_maxA":
-        grid = grid or DEFAULT_UNIT_GRID
-        draws = l1_fast_batch(link, law, grid, m, rng)
+    else:  # l1_fast_maxA
+        if grid is not None:
+            raise ValueError("l1_fast_maxA is drawn exactly and takes no grid")
+        draws = l1_fast_batch(link, m, rng)
         params.pop("x0")
-    else:
-        raise ValueError(f"unknown law tag {law_tag!r}")
     params["noise_scale"] = link.noise_scale
     return LimitBatch(law_tag, draws, grid, params, seed)

@@ -143,13 +143,33 @@ class TestSimulateLimit:
             "--out", str(tmp_path),
             "--set", "limit.law_tag=l1_fast_maxA",
             "--set", "limit.draws=400",
-            "--set", "grid.half_width=1.0",
-            "--set", "grid.step=0.002",
-            "--set", "grid.two_sided=0",
         ])
         assert code == 0
         draws = [float(v) for v in _read(tmp_path / "limit_batch.csv").splitlines()[1:]]
-        assert all(v >= 0 for v in draws)
+        assert len(draws) == 400 and all(v >= 0 for v in draws)
+        assert json.loads(_read(tmp_path / "limit_batch.meta.json"))["grid"] is None
+
+    def test_l1_fast_rejects_grid_keys(self, tmp_path, capsys):
+        code = main([
+            "simulate-limit",
+            "--out", str(tmp_path),
+            "--set", "limit.law_tag=l1_fast_maxA",
+            "--set", "grid.half_width=1.0",
+            "--set", "grid.two_sided=0",
+        ])
+        assert code == 2
+        assert "no grid" in capsys.readouterr().err
+        assert not (tmp_path / "limit_batch.csv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bad_draw_count_exits_2(self, tmp_path, capsys, count):
+        code = main([
+            "simulate-limit", "--out", str(tmp_path), "--set", f"limit.draws={count}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "draws" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "limit_batch.csv").exists()
 
     def test_interior_point_violation(self, tmp_path, capsys):
         code = main([

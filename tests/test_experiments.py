@@ -124,6 +124,15 @@ class TestRateStudy:
         with pytest.raises(ValueError, match="at least 3 sample sizes"):
             run_rate_study(cfg)
 
+    def test_short_centering_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the centering check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        cfg = StudyConfig(_scn(0.25), (2000, 4000, 8000), 50, centering_draws=5000)
+        with pytest.raises(ValueError, match="10000 draws, got 5000"):
+            run_rate_study(cfg)
+
 
 class TestLimitComparison:
     def test_regime_consistency_enforced(self):
@@ -137,6 +146,15 @@ class TestLimitComparison:
             )
         with pytest.raises(ValueError, match="regime"):
             run_limit_comparison(StudyConfig(_scn(0.25), (500,), 50))
+
+    def test_no_limit_draws_rejected_before_any_replicate(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the limit-draw check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        cfg = StudyConfig(_scn(0.8), (500,), 50, regime="fast_l1", limit_draws=0)
+        with pytest.raises(ValueError, match="at least 1 limit draw"):
+            run_limit_comparison(cfg)
 
     def test_smoke_run_records(self):
         cfg = StudyConfig(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi, kstest
 
 from monotone_wfi.limits import (
     DEFAULT_EDGE_GRID,
@@ -29,7 +30,8 @@ from monotone_wfi.limits import (
     sigma_sq,
     slow_limit_batch,
 )
-from monotone_wfi.limits import _gcm_slope_batch
+from monotone_wfi import limits
+from monotone_wfi.limits import _chunked, _gcm_slope_batch
 from monotone_wfi.estimator import lower_hull_indices, npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
@@ -108,7 +110,7 @@ class TestBrownianPaths:
 
 class TestChernoffSampler:
     def test_drift_only_argmin_is_zero(self):
-        draws = argmin_quadratic_batch(COARSE, 5, 1, a=1.0, b=1.0, c=0.0, noise=False)
+        draws = argmin_quadratic_batch(COARSE, 5, 1, a=0.0, b=1.0, c=0.0)
         assert np.all(draws == 0.0)
 
     def test_moments_against_references(self, chernoff_reference_draws):
@@ -126,8 +128,52 @@ class TestChernoffSampler:
 
     def test_escape_raises_on_mis_set_grid(self):
         g = PathGrid(4.0, 0.04, True)
-        with pytest.raises(GridEscapeError):
+        with pytest.raises(GridEscapeError, match="last half-width 32.0"):
             argmin_quadratic_batch(g, 4, 3, a=1.0, b=1.0, c=100.0)
+
+
+class TestBatchDrivers:
+    """Chunk layout and window-escape order of the path samplers."""
+
+    def test_chunk_sizes(self):
+        for m, sizes in ((1, [1]), (512, [512]), (513, [512, 1]), (600, [512, 88])):
+            seen = []
+
+            def draw(k):
+                seen.append(k)
+                return np.full(k, float(len(seen))), np.arange(k)
+
+            values, index = _chunked(m, draw)
+            assert seen == sizes
+            assert np.array_equal(values, np.repeat(np.arange(1.0, len(sizes) + 1), sizes))
+            assert np.array_equal(index, np.concatenate([np.arange(k) for k in sizes]))
+        with pytest.raises(ValueError, match="at least one path"):
+            _chunked(0, lambda k: np.zeros(k))
+
+    @staticmethod
+    def _hand_pass(grid, sizes, rng):
+        # argmin of Z(s) + s^2 per path, ties to the largest index
+        s = grid.points()
+        last = [s.size - 1 - np.argmin((brownian_paths(grid, k, rng) + s * s)[:, ::-1], axis=1)
+                for k in sizes]
+        return s[np.concatenate(last)]
+
+    @pytest.mark.parametrize("m", [1, 512, 513, 600])
+    def test_argmin_chunks_then_retries_in_order(self, m):
+        # first pass in chunks of 512, then the escaped draws, in order, on
+        # the doubled window, all from one stream
+        g = PathGrid(1.0, 0.01, True)
+        draws = argmin_quadratic_batch(g, m, stream(31))
+        rng = stream(31)
+        first = self._hand_pass(g, [min(512, m - i) for i in range(0, m, 512)], rng)
+        esc = np.abs(first) > 0.9
+        assert np.array_equal(draws[~esc], first[~esc])
+        if m == 600:
+            assert 0 < esc.sum() < 88
+        if esc.any():
+            second = self._hand_pass(g.doubled(), [esc.sum()], rng)
+            assert np.all(np.abs(second) <= 1.8)
+            assert np.array_equal(draws[esc], second)
 
 
 class TestArgminScalingLaw:
@@ -281,13 +327,35 @@ class TestL1FastSampler:
         assert val == 0.0
 
     def test_draws_nonnegative(self):
-        draws = l1_fast_batch(LOGISTIC, UNIFORM, COARSE_UNIT, 5000, 41)
+        draws = l1_fast_batch(LOGISTIC, 5000, 41)
         assert np.all(draws >= 0.0)
         assert draws.mean() > 0.5  # scale sanity
 
-    def test_needs_unit_grid(self):
-        with pytest.raises(ValueError):
-            l1_fast_batch(LOGISTIC, UNIFORM, COARSE, 10, 1)
+    def test_takes_no_grid(self):
+        with pytest.raises(ValueError, match="no grid"):
+            sample_limit_batch("l1_fast_maxA", 10, 1, link=LOGISTIC, law=UNIFORM, grid=COARSE_UNIT)
+
+    def test_exact_chi3_law_without_paths(self, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("the exact sampler simulated a path")
+
+        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        draws = l1_fast_batch(LOGISTIC, 20_000, 42) / LOGISTIC.noise_scale
+        assert kstest(draws, chi(3).cdf).statistic <= 1.36 / math.sqrt(draws.size)
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - 2.0 * math.sqrt(2.0 / math.pi)) <= 3 * se
+
+    def test_path_representation_has_exact_mean(self):
+        # W(1) - 2 min W on a grid of step h sits 2 * 0.5826 * sqrt(h) below
+        # the continuous law in mean: the discrete-minimum bias, with
+        # 0.5826 = -zeta(1/2) / sqrt(2 pi)
+        g = PathGrid(1.0, 1e-3, False)
+        rng = stream(207)
+        paths = (brownian_paths(g, 2000, rng) for _ in range(10))
+        reps = np.concatenate([w[:, -1] - 2.0 * w.min(axis=1) for w in paths])
+        se = reps.std(ddof=1) / math.sqrt(reps.size)
+        corrected = reps.mean() + 2.0 * 0.5826 * math.sqrt(g.step)
+        assert abs(corrected - 2.0 * math.sqrt(2.0 / math.pi)) <= 3 * se
 
     def test_representation_covariance_light(self):
         # Cov(W(1)-2W(u), W(1)-2W(v)) = 1 - 2|u - v|
@@ -416,12 +484,18 @@ class TestSupportBoundaryLayer:
 
 class TestLimitBatches:
     def test_tags_and_determinism(self):
-        for tag in ("scaled_chernoff", "fast_w_slope", "l1_fast_maxA"):
-            grid = COARSE if tag == "scaled_chernoff" else COARSE_UNIT
+        grids = {"scaled_chernoff": COARSE, "fast_w_slope": COARSE_UNIT, "l1_fast_maxA": None}
+        for tag, grid in grids.items():
             b1 = sample_limit_batch(tag, 200, 77, link=LOGISTIC, law=UNIFORM, grid=grid)
             b2 = sample_limit_batch(tag, 200, 77, link=LOGISTIC, law=UNIFORM, grid=grid)
             assert np.array_equal(b1.draws, b2.draws)
             assert b1.law_tag == tag
+            assert b1.grid == grid
+
+    def test_draw_count_validated(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError, match="draws"):
+                sample_limit_batch("scaled_chernoff", m, 1, link=LOGISTIC, law=UNIFORM)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="law tag"):
@@ -463,11 +537,6 @@ class TestGridRefinementStability:
     def test_boundary(self):
         coarse = boundary_limit_batch(1, 1.0, LOGISTIC, UNIFORM, 0.0, PathGrid(1.0, 0.002, False), 5000, 205)
         fine = boundary_limit_batch(1, 1.0, LOGISTIC, UNIFORM, 0.0, PathGrid(1.0, 0.001, False), 5000, 206)
-        self._stable(coarse, fine)
-
-    def test_l1_fast(self):
-        coarse = l1_fast_batch(LOGISTIC, UNIFORM, PathGrid(1.0, 0.002, False), 8000, 207)
-        fine = l1_fast_batch(LOGISTIC, UNIFORM, PathGrid(1.0, 0.001, False), 8000, 208)
         self._stable(coarse, fine)
 
 
