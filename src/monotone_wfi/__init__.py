@@ -18,7 +18,6 @@ from .limits import (
     mu_n,
     sample_limit_batch,
     scaled_chernoff_constant,
-    sigma_sq,
 )
 from .metrics import QuadratureCfg, hellinger, ks_two_sample, l1_error, sup_norm_on
 from .model import (
@@ -30,7 +29,6 @@ from .model import (
     Scenario,
     build_assouad_cube,
     build_pointwise_hypotheses,
-    feature_eval,
     in_slope_band,
     link_derivative,
     link_eval,

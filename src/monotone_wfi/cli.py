@@ -228,6 +228,12 @@ def emit_config_text(command: str, cfg: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _given_keys(text: str, sets) -> set[str]:
+    """Keys that a (validated) config text or the ``--set`` items assign."""
+    items = [line.split("#", 1)[0] for line in text.splitlines()] + list(sets or [])
+    return {item.split("=", 1)[0].strip() for item in items if "=" in item}
+
+
 def _apply_overrides(command: str, cfg: dict, args) -> dict:
     schema = SCHEMAS[command]
     for item in args.set or []:
@@ -337,10 +343,8 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
     tag = cfg["limit.law_tag"]
     if tag not in LAW_TAGS:
         raise ConfigError(f"unknown law tag {tag!r}; choose from {LAW_TAGS}")
-    # grid keys left at their defaults mean "use the law's own default grid"
-    schema = SCHEMAS["simulate-limit"]
-    untouched = all(cfg[k] == schema[k][1] for k in _GRID_KEYS)
-    grid = None if untouched else _build_grid(cfg)
+    # no grid key given means "use the law's own default grid, if it takes one"
+    grid = _build_grid(cfg) if args.given_keys & _GRID_KEYS.keys() else None
     batch = sample_limit_batch(
         tag,
         cfg["limit.draws"],
@@ -662,6 +666,7 @@ def main(argv=None) -> int:
             text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config_text(args.command, text)
         cfg = _apply_overrides(args.command, cfg, args)
+        args.given_keys = _given_keys(text, args.set)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -370,6 +370,27 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         "fast_l1": "l1_fast_maxA",
     }[cfg.regime]
 
+    # the limit law depends on n only through the boundary constant c, so
+    # one batch serves every size with the same c; drawn first, the
+    # batches also validate x0 before any replicate runs
+    c_by_n = {
+        n: n * scn.delta(n) ** (2 * scn.beta) if tag == "boundary_gbc" else 0.0
+        for n in cfg.n_list
+    }
+    batches: dict[float, np.ndarray] = {}
+    for c in c_by_n.values():
+        if c not in batches:
+            batches[c] = limits.sample_limit_batch(
+                tag,
+                cfg.limit_draws,
+                cfg.seed_base,
+                link=scn.link,
+                law=scn.law,
+                x0=cfg.x0,
+                beta=scn.beta,
+                c=c,
+            ).draws
+
     stats = _replicates(
         _limit_stat_chunk, [(scn, cfg.x0, cfg.seed_base, cfg.regime, n) for n in cfg.n_list], cfg
     )
@@ -379,24 +400,14 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
     ks_by_n: dict[int, float] = {}
     for n in cfg.n_list:
         finite = np.array([s[2] for s in stats if s[0] == n])
-        kwargs = {"c": n * scn.delta(n) ** (2 * scn.beta)} if tag == "boundary_gbc" else {}
-        batch = limits.sample_limit_batch(
-            tag,
-            cfg.limit_draws,
-            cfg.seed_base,
-            link=scn.link,
-            law=scn.law,
-            x0=cfg.x0,
-            beta=scn.beta,
-            **kwargs,
-        )
-        ks = ks_two_sample(finite, batch.draws)
+        draws = batches[c_by_n[n]]
+        ks = ks_two_sample(finite, draws)
         ks_by_n[n] = ks
-        records.append((cfg.regime, int(n), gamma, ks, len(finite), len(batch.draws)))
+        records.append((cfg.regime, int(n), gamma, ks, len(finite), len(draws)))
         extras["finite"][n] = finite
-        extras["limit"][n] = batch.draws
-        if cfg.regime == "boundary_pointwise":
-            extras.setdefault("standardization_c", {})[n] = kwargs["c"]
+        extras["limit"][n] = draws
+    if cfg.regime == "boundary_pointwise":
+        extras["standardization_c"] = c_by_n
 
     tol = float(cfg.tolerances.get("ks", 0.10))
     flags = {f"ks_within_tolerance_n{n}": ks_by_n[n] <= tol for n in cfg.n_list}
@@ -639,6 +650,10 @@ def run_consistency_study(
     half runs each given exponent across the study ladder on the central
     half-support and flags strict decrease of the medians.
     """
+    if len(hellinger_ns) != 2 or not 1 <= hellinger_ns[0] < hellinger_ns[1]:
+        raise ValueError(
+            f"hellinger_ns must be two strictly increasing sizes, got {tuple(hellinger_ns)}"
+        )
     base = cfg.scenario
     fixed = replace(base, impact_exponent=0.0)
     heads = [(fixed, "hellinger", cfg.seed_base, n) for n in hellinger_ns]

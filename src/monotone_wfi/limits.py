@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.optimize import isotonic_regression
 
 from .metrics import QuadratureCfg, adaptive_simpson
@@ -50,7 +51,6 @@ __all__ = [
     "mu_n",
     "local_width",
     "boundary_term",
-    "sigma_sq",
     "sample_limit_batch",
 ]
 
@@ -281,6 +281,13 @@ def slow_limit_batch(
     )
 
 
+def _chernoff_scale(link: LinkSpec, law: FeatureLaw, u: float, x: float) -> float:
+    """``(4 phi0(u) (1 - phi0(u)) phi0'(u) / density(x))^(1/3)``."""
+    p = float(link_eval(link, u))
+    slope = link_derivative(link, u, 1)
+    return (4.0 * p * (1.0 - p) * slope / float(law.density(x))) ** (1.0 / 3.0)
+
+
 def scaled_chernoff_constant(
     link: LinkSpec, law: FeatureLaw, x0: float, beta: int = 1
 ) -> float:
@@ -290,58 +297,29 @@ def scaled_chernoff_constant(
             "the closed-form constant exists for flatness order 1 only; "
             "use the general slow-regime sampler for higher orders"
         )
-    d1 = link_derivative(link, 0.0, 1)
-    if d1 <= 0:
+    if link_derivative(link, 0.0, 1) <= 0:
         raise ValueError(
             "link has vanishing first derivative at 0; "
             "use the general slow-regime sampler"
         )
-    p0 = link.value_at_zero
-    return (4.0 * p0 * (1.0 - p0) * d1 / float(law.density(x0))) ** (1.0 / 3.0)
+    return _chernoff_scale(link, law, 0.0, x0)
 
 
 def boundary_drift(
-    beta: int, c: float, link: LinkSpec, law: FeatureLaw, x0: float, s: float
-) -> float:
-    """Drift of the boundary-case limit process at time ``s`` in [0, 1].
+    beta: int, c: float, link: LinkSpec, law: FeatureLaw, x0: float, s
+) -> float | np.ndarray:
+    """Drift of the boundary-case limit process at times ``s`` in [0, 1].
 
-    ``sqrt(c) * d_beta * E[(X - x0)^beta 1{X <= quantile(s)}]`` computed by
-    adaptive quadrature of ``(x - x0)^beta density(x)``.
+    ``sqrt(c) * d_beta * E[(X - x0)^beta 1{X <= quantile(s)}]``, from the
+    exact antiderivative (vanishing at ``-T``) of the polynomial
+    ``(x - x0)^beta density(x)``.  A scalar ``s`` gives a float.
     """
     if c < 0:
         raise ValueError("boundary constant c must be nonnegative")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("time argument must lie in [0, 1]")
-    if c == 0.0 or s == 0.0:
-        return 0.0
-    upper = float(law.quantile(s))
-    d_beta = link_derivative(link, 0.0, beta)
-    val = adaptive_simpson(
-        lambda x: (x - x0) ** beta * float(law.density(x)),
-        -law.half_width,
-        upper,
-        QuadratureCfg(1e-12, 48),
-    )
-    return math.sqrt(c) * d_beta * val
-
-
-def _boundary_drift_grid(
-    beta: int, c: float, link: LinkSpec, law: FeatureLaw, x0: float, pts: np.ndarray
-) -> np.ndarray:
-    """Drift on a whole [0, 1] grid via the quantile substitution.
-
-    ``E[(X-x0)^beta 1{X <= quantile(s)}] = int_0^s (quantile(u) - x0)^beta du``
-    accumulated with composite Simpson on the grid.
-    """
-    if c == 0.0:
-        return np.zeros(pts.size)
-    q = np.asarray(law.quantile(pts), dtype=float)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    qm = np.asarray(law.quantile(mids), dtype=float)
-    h = np.diff(pts)
-    panel = h / 6.0 * ((q[:-1] - x0) ** beta + 4.0 * (qm - x0) ** beta + (q[1:] - x0) ** beta)
-    d_beta = link_derivative(link, 0.0, beta)
-    return math.sqrt(c) * d_beta * np.concatenate(([0.0], np.cumsum(panel)))
+    integrand = Polynomial([-x0, 1.0]) ** beta * Polynomial(law.density_coeffs)
+    antiderivative = integrand.integ(lbnd=-law.half_width)
+    out = math.sqrt(c) * link_derivative(link, 0.0, beta) * antiderivative(law.quantile(s))
+    return float(out) if np.isscalar(s) else out
 
 
 def boundary_limit_batch(
@@ -361,13 +339,10 @@ def boundary_limit_batch(
     """
     if grid.two_sided or abs(grid.half_width - 1.0) > 1e-12:
         raise ValueError("boundary sampler needs a one-sided grid on [0, 1]")
-    f0 = float(law.cdf(x0))
-    if not 0.0 < f0 < 1.0:
-        raise ValueError("x0 must be interior to the feature support")
     pts = grid.points()
-    drift = _boundary_drift_grid(beta, c, link, law, x0, pts)
+    drift = boundary_drift(beta, c, link, law, x0, pts)
     sigma = link.noise_scale
-    slot = int(np.searchsorted(pts, f0, side="left")) - 1
+    slot = int(np.searchsorted(pts, float(law.cdf(x0)), side="left")) - 1
     rng = _as_rng(seed_or_rng)
 
     def draw(k: int) -> np.ndarray:
@@ -532,14 +507,6 @@ def chernoff_cov_integral(
     )
 
 
-def _chernoff_scale(scn: Scenario, n: int, x: float) -> float:
-    """``kappa_n(x) = (4 phi_n (1 - phi_n) phi0'(delta_n x) / density(x))^(1/3)``."""
-    delta = scn.delta(n)
-    p = float(link_eval(scn.link, delta * x))
-    slope = link_derivative(scn.link, delta * x, 1)
-    return (4.0 * p * (1.0 - p) * slope / float(scn.law.density(x))) ** (1.0 / 3.0)
-
-
 def mu_n(
     scn: Scenario, n: int, chernoff_abs_mean_value: float, q: QuadratureCfg | None = None
 ) -> float:
@@ -555,8 +522,9 @@ def mu_n(
         raise ValueError("centering needs a strictly positive link slope at 0")
     q = q or QuadratureCfg(1e-10, 48)
     t = scn.law.half_width
+    delta = scn.delta(n)
     return chernoff_abs_mean_value * adaptive_simpson(
-        lambda x: _chernoff_scale(scn, n, x), -t, t, q
+        lambda x: _chernoff_scale(scn.link, scn.law, delta * x, x), -t, t, q
     )
 
 
@@ -584,26 +552,11 @@ def boundary_term(scn: Scenario, n: int, edge_constant: float) -> float:
     error over the whole support [-T, T].
     """
     t = scn.law.half_width
+    delta = scn.delta(n)
     return edge_constant * sum(
-        _chernoff_scale(scn, n, e) * local_width(scn, n, e) for e in (-t, t)
+        _chernoff_scale(scn.link, scn.law, delta * e, e) * local_width(scn, n, e)
+        for e in (-t, t)
     )
-
-
-def sigma_sq(
-    link: LinkSpec, law: FeatureLaw, cov_integral_value: float, q: QuadratureCfg | None = None
-) -> float:
-    """Variance of the slow-regime L1 fluctuation.
-
-    ``8 C int phi0(0)(1 - phi0(0)) / density(t) dt`` with ``C`` the
-    covariance integral of the shifted-argmin family.
-    """
-    q = q or QuadratureCfg(1e-10, 48)
-    t = law.half_width
-    p0 = link.value_at_zero
-    integral = adaptive_simpson(
-        lambda x: p0 * (1.0 - p0) / float(law.density(x)), -t, t, q
-    )
-    return 8.0 * cov_integral_value * integral
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +594,16 @@ def sample_limit_batch(
     c: float = 0.0,
     grid: PathGrid | None = None,
 ) -> LimitBatch:
-    """Tagged batch of ``m`` draws; ``l1_fast_maxA`` is exact and takes no grid."""
+    """Tagged batch of ``m`` draws; ``l1_fast_maxA`` is exact and takes no grid.
+
+    Every other tag uses ``x0``, which must be interior to the feature support.
+    """
     if law_tag not in LAW_TAGS:
         raise ValueError(f"unknown law tag {law_tag!r}")
     if m < 1:
         raise ValueError(f"limit draws must be at least 1, got {m} draws")
+    if law_tag != "l1_fast_maxA" and not -law.half_width < x0 < law.half_width:
+        raise ValueError(f"x0 must be interior to the feature support, got {x0}")
     rng = stream(seed, LAW_TAGS.index(law_tag))
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":

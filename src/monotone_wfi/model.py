@@ -34,7 +34,6 @@ __all__ = [
     "link_eval",
     "link_derivative",
     "link_inverse",
-    "feature_eval",
     "phi_n",
     "sample_dataset",
     "draw_sample",
@@ -298,19 +297,19 @@ class FeatureLaw:
     def tilt(self) -> float:
         return self.params[0] if self.params else (0.5 if self.kind == "polynomial" else 0.0)
 
+    @property
+    def density_coeffs(self) -> tuple[float, float, float]:
+        """Power-series coefficients of the density in ``x`` on the support."""
+        t, th = self.half_width, self.tilt
+        return (1.0 - th) / (2.0 * t), 0.0, th * 3.0 / (2.0 * t**3)
+
     def density(self, x) -> np.ndarray | float:
         scalar = np.isscalar(x)
         x = np.asarray(x, dtype=float)
         t = self.half_width
-        if self.kind == "uniform":
-            out = np.where(np.abs(x) <= t, 1.0 / (2.0 * t), 0.0)
-        else:
-            th = self.tilt
-            out = np.where(
-                np.abs(x) <= t,
-                (1.0 - th) / (2.0 * t) + th * 3.0 * x * x / (2.0 * t**3),
-                0.0,
-            )
+        c0, _, c2 = self.density_coeffs
+        inside = np.clip(x, -t, t)  # keeps 0 * x^2 finite off the support
+        out = np.where(np.abs(x) <= t, c0 + c2 * inside * inside, 0.0)
         return float(out) if scalar else out
 
     def cdf(self, x) -> np.ndarray | float:
@@ -348,18 +347,6 @@ class FeatureLaw:
         if self.kind == "uniform":
             return 1.0 / (2.0 * self.half_width)
         return (1.0 + 2.0 * self.tilt) / (2.0 * self.half_width)
-
-
-def feature_eval(law: FeatureLaw, which: str, u):
-    """Dispatch to density / cdf / quantile."""
-    table = {
-        "density": law.density,
-        "cdf": law.cdf,
-        "quantile": law.quantile,
-    }
-    if which not in table:
-        raise ValueError(f"unknown feature functional {which!r}")
-    return table[which](u)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +538,6 @@ class PiecewiseAffine:
     @property
     def breakpoints(self) -> np.ndarray:
         return self.knots
-
-    @property
-    def max_slope(self) -> float:
-        return float(np.max(np.diff(self.values) / np.diff(self.knots)))
 
 
 @dataclass(frozen=True)

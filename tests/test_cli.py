@@ -184,6 +184,41 @@ class TestSimulateLimit:
         assert code == 2
         assert "interior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag", ["scaled_chernoff", "slow_fbeta"])
+    def test_exterior_x0_exits_2(self, tmp_path, capsys, tag):
+        code = main([
+            "simulate-limit", "--out", str(tmp_path),
+            "--set", f"limit.law_tag={tag}", "--set", "limit.x0=2.0", "--set", "limit.draws=10",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "interior" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "limit_batch.csv").exists()
+
+    @pytest.mark.parametrize(
+        "tag, key", [("l1_fast_maxA", "grid.step=0.002"), ("fast_w_slope", "grid.half_width=4.0")]
+    )
+    def test_grid_key_at_its_default_counts_as_given(self, tmp_path, capsys, tag, key):
+        # the values equal the schema defaults, but they were given
+        code = main([
+            "simulate-limit", "--out", str(tmp_path),
+            "--set", f"limit.law_tag={tag}", "--set", key,
+        ])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "limit_batch.csv").exists()
+
+    def test_grid_keys_from_config_file(self, tmp_path):
+        # a config file gives keys too; the command defaults fill the rest
+        cfg = tmp_path / "cfg"
+        _write(cfg, "limit.law_tag = fast_w_slope\ngrid.half_width = 1.0  # unit\n")
+        assert main(["simulate-limit", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                     "--set", "grid.two_sided=0", "--set", "limit.draws=5"]) == 0
+        meta = json.loads(_read(tmp_path / "a" / "limit_batch.meta.json"))
+        assert meta["grid"] == {"half_width": 1.0, "step": 0.002, "two_sided": False}
+        assert main(["simulate-limit", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                     "--set", "limit.draws=5"]) == 2
+
     def test_unknown_tag(self, tmp_path, capsys):
         code = main([
             "simulate-limit", "--out", str(tmp_path), "--set", "limit.law_tag=bogus",
@@ -291,6 +326,28 @@ class TestStudyCommands:
         ])
         assert code == 0
         assert len(_read(out / "rate_study.csv").splitlines()) == 1 + 3 * 60
+
+
+class TestStudyInputChecks:
+    def test_limit_compare_exterior_x0_exits_2(self, tmp_path, capsys):
+        code = main([
+            "limit-compare", "--out", str(tmp_path),
+            "--set", "study.x0=2.0", "--set", "study.n_list=200",
+            "--set", "study.replicates=50", "--set", "study.limit_draws=100",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "interior" in err and len(err.strip().splitlines()) == 1
+
+    def test_consistency_one_hellinger_size_exits_2(self, tmp_path, capsys):
+        code = main([
+            "consistency", "--out", str(tmp_path),
+            "--set", "study.hellinger_ns=40", "--set", "study.n_list=64,128,256",
+            "--set", "study.replicates=50",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "two strictly increasing sizes" in err and len(err.strip().splitlines()) == 1
 
 
 class TestNumericalFailureExit:

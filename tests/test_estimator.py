@@ -138,9 +138,9 @@ class TestConvexMinorant:
 
 
 @st.composite
-def _samples(draw):
+def _samples(draw, n_max=80):
     """Samples with ties (duplicate features pool into weights) and fixed labels."""
-    n = draw(st.integers(1, 80))
+    n = draw(st.integers(1, n_max))
     xs = draw(st.lists(st.integers(0, draw(st.integers(0, 40))), min_size=n, max_size=n))
     kind = draw(st.sampled_from(["mixed", "mixed", "zeros", "ones"]))
     if kind == "mixed":
@@ -175,6 +175,34 @@ class TestMinorantKernelProperties:
         keep = _minorant_indices(cw, co)
         assert np.array_equal(keep, lower_hull_indices(cw, co))
         _assert_is_minorant(cw, co, keep)
+
+
+class TestExactnessProperties:
+    """Switch relation and likelihood optimality on small weighted, tied samples."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_samples(40), st.data())
+    def test_switch_relation_holds_exactly(self, s, data):
+        # x anywhere in the sample range or at a sample point; a anywhere in
+        # [0, 1] or exactly at a fitted level, where ties bite
+        x = data.draw(st.sampled_from(s.xs.tolist()) | st.floats(s.xs[0], s.xs[-1]))
+        a = data.draw(st.sampled_from(npmle_values(s).tolist()) | st.floats(0.0, 1.0))
+        rec = switch_check(s, x, a)
+        assert rec["lhs"] == rec["rhs"]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_samples(40), st.data())
+    def test_npmle_maximizes_likelihood(self, s, data):
+        k = s.xs.size
+        levels = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+        fitted = npmle_values(s)
+        nudge = np.array(data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=k, max_size=k)))
+        best = log_likelihood(npmle_fit(s), s)
+        for cand in (
+            np.sort(data.draw(levels)),  # any nondecreasing curve into [0, 1]
+            np.maximum.accumulate(np.clip(fitted + nudge, 0.0, 1.0)),  # one close by
+        ):
+            assert best >= log_likelihood(lambda x, v=cand: v, s) - 1e-12
 
 
 class TestLeftDerivative:

@@ -156,6 +156,50 @@ class TestLimitComparison:
         with pytest.raises(ValueError, match="at least 1 limit draw"):
             run_limit_comparison(cfg)
 
+    @pytest.mark.parametrize(
+        "gamma, regime, x0",
+        [
+            (0.25, "slow_pointwise", 2.0),
+            (0.9, "fast_pointwise", 1.0),
+            (0.5, "boundary_pointwise", -1.0),
+        ],
+    )
+    def test_exterior_x0_rejected_before_any_replicate(self, monkeypatch, gamma, regime, x0):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the x0 check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        cfg = StudyConfig(_scn(gamma), (200,), 50, x0=x0, regime=regime, limit_draws=100)
+        with pytest.raises(ValueError, match="interior to the feature support"):
+            run_limit_comparison(cfg)
+
+    def test_one_limit_batch_unless_c_varies(self, monkeypatch):
+        # the limit law depends on n only through c, which only the
+        # boundary regime has; the records match a per-size redraw
+        calls = []
+        draw = experiments.limits.sample_limit_batch
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["c"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(experiments.limits, "sample_limit_batch", counted)
+        cfg = StudyConfig(
+            _scn(0.8), (200, 400), 50, seed_base=7, regime="fast_l1", limit_draws=500
+        )
+        res = run_limit_comparison(cfg)
+        assert calls == [0.0]
+        batch = draw("l1_fast_maxA", 500, 7, link=LOGISTIC, law=UNIFORM)
+        for n in (200, 400):
+            assert np.array_equal(res.extras["limit"][n], batch.draws)
+        calls.clear()
+        scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.5)
+        cfg = StudyConfig(
+            scn, (200, 400), 50, seed_base=7, regime="boundary_pointwise", limit_draws=200
+        )
+        res = run_limit_comparison(cfg)
+        assert sorted(calls) == sorted(set(res.extras["standardization_c"].values()))
+
     def test_smoke_run_records(self):
         cfg = StudyConfig(
             _scn(0.25), (2000,), 50, seed_base=13, threads=2,
@@ -229,6 +273,16 @@ class TestTailProbe:
 
 
 class TestConsistencyStudy:
+    @pytest.mark.parametrize("sizes", [(40,), (400, 400), (6400, 400), (0, 400), (100, 200, 400)])
+    def test_hellinger_sizes_rejected_before_any_draw(self, monkeypatch, sizes):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the size check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        cfg = StudyConfig(_scn(0.25), (64, 128, 256), 50)
+        with pytest.raises(ValueError, match="two strictly increasing sizes"):
+            run_consistency_study(cfg, hellinger_ns=sizes)
+
     def test_flags_and_medians(self):
         cfg = StudyConfig(_scn(0.25), (512, 2048, 8192), 60, seed_base=31, threads=2)
         res = run_consistency_study(cfg, hellinger_ns=(400, 6400), sup_gammas=(0.25,))

@@ -27,18 +27,18 @@ from monotone_wfi.limits import (
     mu_n,
     sample_limit_batch,
     scaled_chernoff_constant,
-    sigma_sq,
     slow_limit_batch,
 )
 from monotone_wfi import limits
 from monotone_wfi.limits import _chunked, _gcm_slope_batch
 from monotone_wfi.estimator import lower_hull_indices, npmle_fit
-from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
-from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
+from monotone_wfi.metrics import QuadratureCfg, adaptive_simpson, ks_two_sample, l1_error
+from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample, link_derivative
 from monotone_wfi.streams import stream
 
 LOGISTIC = LinkSpec("logistic")
 UNIFORM = FeatureLaw("uniform", 1.0)
+POLY = FeatureLaw("polynomial", 1.0, (0.5,))
 
 # Monte Carlo references computed once at 2e5 draws on the default grid
 # (seed 20260808): see the reference test below, which regenerates them.
@@ -273,20 +273,42 @@ class TestBoundaryDrift:
         val = boundary_drift(1, 4.0, LOGISTIC, UNIFORM, 0.0, 0.5)
         assert val == pytest.approx(-2.0 * 0.25 / 4.0, abs=1e-10)
 
-    def test_grid_drift_matches_pointwise(self):
-        from monotone_wfi.limits import _boundary_drift_grid
+    @pytest.mark.parametrize("law", [UNIFORM, POLY], ids=["uniform", "polynomial"])
+    @pytest.mark.parametrize("beta", [1, 3])
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    def test_exact_drift_matches_quadrature(self, law, beta, x0):
+        # the antiderivative against adaptive Simpson of (x - x0)^beta g(x)
+        link = LOGISTIC if beta == 1 else LinkSpec("beta_flat", beta=3)
+        scale = math.sqrt(2.0) * link_derivative(link, 0.0, beta)
+        pts = np.linspace(0.0, 1.0, 11)
+        drift = boundary_drift(beta, 2.0, link, law, x0, pts)
+        for s, got in zip(pts, drift):
+            upper = float(law.quantile(float(s)))
+            quad = adaptive_simpson(
+                lambda x: (x - x0) ** beta * float(law.density(x)),
+                -law.half_width,
+                upper,
+                QuadratureCfg(1e-14, 48),
+            )
+            assert abs(got - scale * quad) <= 1e-12
+            scalar = boundary_drift(beta, 2.0, link, law, x0, float(s))
+            assert type(scalar) is float and scalar == got
 
-        pts = np.linspace(0, 1, 21)
-        grid_vals = _boundary_drift_grid(1, 2.0, LOGISTIC, UNIFORM, 0.1, pts)
-        for i in (3, 10, 17):
-            direct = boundary_drift(1, 2.0, LOGISTIC, UNIFORM, 0.1, float(pts[i]))
-            assert grid_vals[i] == pytest.approx(direct, abs=1e-8)
+    def test_validation(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            boundary_drift(1, -1.0, LOGISTIC, UNIFORM, 0.0, 0.5)
+        with pytest.raises(ValueError, match="quantile argument"):
+            boundary_drift(1, 1.0, LOGISTIC, UNIFORM, 0.0, np.array([0.5, 1.5]))
 
 
 class TestBoundarySampler:
     def test_interior_point_required(self):
-        with pytest.raises(ValueError, match="interior"):
-            boundary_limit_batch(1, 1.0, LOGISTIC, UNIFORM, 1.0, COARSE_UNIT, 4, 1)
+        # every tag that uses x0 checks it before drawing; l1_fast_maxA ignores it
+        for tag in ("scaled_chernoff", "slow_fbeta", "boundary_gbc", "fast_w_slope"):
+            for x0 in (1.0, -2.0, float("nan")):
+                with pytest.raises(ValueError, match="interior"):
+                    sample_limit_batch(tag, 4, 1, link=LOGISTIC, law=UNIFORM, x0=x0, c=1.0)
+        sample_limit_batch("l1_fast_maxA", 4, 1, link=LOGISTIC, law=UNIFORM, x0=2.0)
 
     def test_needs_unit_grid(self):
         with pytest.raises(ValueError, match="one-sided"):
@@ -308,10 +330,8 @@ class TestBoundarySampler:
     def test_deterministic_reduction_for_dominant_drift(self):
         # with the noise switched off the draw is the minorant slope of the
         # drift itself; the drift is convex with zero slope at the center
-        from monotone_wfi.limits import _boundary_drift_grid
-
         pts = COARSE_UNIT.points()
-        drift = _boundary_drift_grid(1, 9.0, LOGISTIC, UNIFORM, 0.0, pts)
+        drift = boundary_drift(1, 9.0, LOGISTIC, UNIFORM, 0.0, pts)
         val = _hull_left_slope(pts, drift, float(UNIFORM.cdf(0.0)))
         assert val == pytest.approx(0.0, abs=1e-3)
         probe = 0.9
@@ -420,14 +440,6 @@ class TestCenteringAndVariance:
         base = mu_n(scn, 1000, 0.41)
         assert base > 0
         assert mu_n(scn, 1000, 0.82) == pytest.approx(2 * base, rel=1e-12)
-
-    def test_variance_formula(self):
-        # logistic and unit uniform: the density integral is exactly 1
-        assert sigma_sq(LOGISTIC, UNIFORM, 0.3) == pytest.approx(8 * 0.3, abs=1e-9)
-        assert sigma_sq(LOGISTIC, UNIFORM, 0.15) == pytest.approx(
-            0.5 * sigma_sq(LOGISTIC, UNIFORM, 0.3), abs=1e-9
-        )
-        assert sigma_sq(LOGISTIC, UNIFORM, 0.3) > 0
 
 
 class TestSupportBoundaryLayer:

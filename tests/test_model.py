@@ -1,6 +1,7 @@
 """Links, feature laws, sampling, and hypothesis constructions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from monotone_wfi.model import (
     build_pointwise_hypotheses,
     default_cube_constant,
     default_slow_pair_constant,
-    feature_eval,
     in_slope_band,
     link_derivative,
     link_eval,
@@ -156,6 +156,13 @@ class TestFeatureLaws:
         assert law.cdf(law.half_width) == 1.0
 
     @pytest.mark.parametrize("law", [UNIFORM, POLY])
+    def test_density_vanishes_off_the_support(self, law):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0 * inf on the way
+            off = law.density(np.array([-np.inf, -1.5, 1.0 + 1e-12, 1e200, np.inf]))
+        assert np.array_equal(off, np.zeros(5))
+
+    @pytest.mark.parametrize("law", [UNIFORM, POLY])
     def test_density_is_cdf_derivative(self, law):
         for x in np.linspace(-0.9, 0.9, 19):
             fd = (law.cdf(x + 1e-5) - law.cdf(x - 1e-5)) / 2e-5
@@ -172,13 +179,7 @@ class TestFeatureLaws:
         with pytest.raises(ValueError):
             UNIFORM.quantile(1.5)
         with pytest.raises(ValueError):
-            feature_eval(POLY, "quantile", -0.1)
-
-    def test_feature_eval_dispatch(self):
-        assert feature_eval(UNIFORM, "density", 0.0) == 0.5
-        assert feature_eval(UNIFORM, "cdf", 0.0) == 0.5
-        with pytest.raises(ValueError):
-            feature_eval(UNIFORM, "mode", 0.0)
+            POLY.quantile(-0.1)
 
     def test_sup_density(self):
         assert UNIFORM.sup_density == 0.5
