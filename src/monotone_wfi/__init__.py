@@ -30,8 +30,8 @@ from .model import (
     build_assouad_cube,
     build_pointwise_hypotheses,
     in_slope_band,
-    link_derivative,
     link_eval,
+    link_slope,
     phi_n,
     sample_dataset,
 )

@@ -89,6 +89,9 @@ class StudyConfig:
             raise ValueError("studies need at least 50 replicates")
         if self.regime is not None and self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        t = self.scenario.law.half_width
+        if not -t < self.x0 < t:
+            raise ValueError(f"x0 must be interior to the feature support, got {self.x0}")
 
 
 @dataclass(frozen=True)
@@ -370,26 +373,21 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         "fast_l1": "l1_fast_maxA",
     }[cfg.regime]
 
-    # the limit law depends on n only through the boundary constant c, so
-    # one batch serves every size with the same c; drawn first, the
-    # batches also validate x0 before any replicate runs
-    c_by_n = {
-        n: n * scn.delta(n) ** (2 * scn.beta) if tag == "boundary_gbc" else 0.0
-        for n in cfg.n_list
-    }
-    batches: dict[float, np.ndarray] = {}
-    for c in c_by_n.values():
-        if c not in batches:
-            batches[c] = limits.sample_limit_batch(
-                tag,
-                cfg.limit_draws,
-                cfg.seed_base,
-                link=scn.link,
-                law=scn.law,
-                x0=cfg.x0,
-                beta=scn.beta,
-                c=c,
-            ).draws
+    # the limit law does not depend on n: the boundary regime pins gamma to
+    # 1/(2 beta), so c = n delta_n^(2 beta) is impact_scale^(2 beta) for
+    # every n (the product itself rounds differently per n); one batch
+    # serves every size
+    c = scn.impact_scale ** (2 * scn.beta) if tag == "boundary_gbc" else 0.0
+    draws = limits.sample_limit_batch(
+        tag,
+        cfg.limit_draws,
+        cfg.seed_base,
+        link=scn.link,
+        law=scn.law,
+        x0=cfg.x0,
+        beta=scn.beta,
+        c=c,
+    ).draws
 
     stats = _replicates(
         _limit_stat_chunk, [(scn, cfg.x0, cfg.seed_base, cfg.regime, n) for n in cfg.n_list], cfg
@@ -400,14 +398,11 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
     ks_by_n: dict[int, float] = {}
     for n in cfg.n_list:
         finite = np.array([s[2] for s in stats if s[0] == n])
-        draws = batches[c_by_n[n]]
         ks = ks_two_sample(finite, draws)
         ks_by_n[n] = ks
         records.append((cfg.regime, int(n), gamma, ks, len(finite), len(draws)))
         extras["finite"][n] = finite
         extras["limit"][n] = draws
-    if cfg.regime == "boundary_pointwise":
-        extras["standardization_c"] = c_by_n
 
     tol = float(cfg.tolerances.get("ks", 0.10))
     flags = {f"ks_within_tolerance_n{n}": ks_by_n[n] <= tol for n in cfg.n_list}
@@ -425,9 +420,7 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         "flags": flags,
     }
     if cfg.regime == "boundary_pointwise":
-        manifest["standardization_c"] = {
-            str(n): extras["standardization_c"][n] for n in cfg.n_list
-        }
+        manifest["standardization_c"] = {str(n): c for n in cfg.n_list}
     return StudyResult(
         "limit_compare",
         ("kind", "n", "gamma", "ks", "draws_finite", "draws_limit"),
@@ -560,6 +553,10 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
     scn = cfg.scenario
     if 1.0 - 2.0 * scn.beta * scn.impact_exponent <= 0:
         raise ValueError("the tail probe is a slow-regime instrument")
+    if len(cfg.n_list) < 3:
+        raise ValueError(
+            f"tail probe needs at least 3 sample sizes for its slope fit, got {len(cfg.n_list)}"
+        )
     gamma = scn.impact_exponent
     records = _replicates(_tail_chunk, [(scn, cfg.x0, cfg.seed_base, n) for n in cfg.n_list], cfg)
     records.sort(key=lambda r: (r[0], r[1]))
@@ -569,10 +566,7 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
         n: np.array([r[2] for r in records if r[0] == n]) for n in cfg.n_list
     }
     medians = np.array([np.median(devs_by_n[n]) for n in cfg.n_list])
-    if len(cfg.n_list) >= 3:
-        slope, se = fit_loglog_slope(ns, medians)
-    else:
-        slope, se = float("nan"), float("nan")
+    slope, se = fit_loglog_slope(ns, medians)
     target = -(1.0 - 2.0 * gamma) / 3.0
     tol = float(cfg.tolerances.get("slope", 0.1))
 
@@ -590,9 +584,7 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
         ]
         for n in cfg.n_list
     }
-    flags = {}
-    if not math.isnan(slope):
-        flags["slope_within_tolerance"] = abs(slope - target) <= tol
+    flags = {"slope_within_tolerance": abs(slope - target) <= tol}
     manifest = {
         "study": "tail_probe",
         "gamma": gamma,

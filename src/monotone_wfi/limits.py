@@ -25,7 +25,7 @@ from numpy.polynomial import Polynomial
 from scipy.optimize import isotonic_regression
 
 from .metrics import QuadratureCfg, adaptive_simpson
-from .model import FeatureLaw, LinkSpec, Scenario, link_derivative, link_eval
+from .model import FeatureLaw, LinkSpec, Scenario, link_eval, link_slope
 from .streams import stream
 
 __all__ = [
@@ -236,22 +236,15 @@ def _gcm_slope_batch(
     return out, touched
 
 
-def _slow_drift_coeff(beta: int, link: LinkSpec, law: FeatureLaw, x0: float) -> float:
-    for k in range(1, beta):
-        if abs(link_derivative(link, 0.0, k)) > 1e-12:
-            raise ValueError(
-                f"link derivative of order {k} does not vanish at 0; "
-                f"flatness order {beta} is wrong for this link"
-            )
-    d_beta = link_derivative(link, 0.0, beta)
+def _slow_drift_coeff(link: LinkSpec, law: FeatureLaw, x0: float) -> float:
+    d_beta = link.leading_derivative
     if d_beta <= 0:
         raise ValueError("leading link derivative at 0 must be strictly positive")
     p0 = float(law.density(x0))
-    return d_beta / (p0**beta * math.factorial(beta + 1))
+    return d_beta / (p0**link.beta * math.factorial(link.beta + 1))
 
 
 def slow_limit_batch(
-    beta: int,
     link: LinkSpec,
     law: FeatureLaw,
     x0: float,
@@ -261,19 +254,20 @@ def slow_limit_batch(
 ) -> np.ndarray:
     """Slow-regime pointwise limit draws.
 
-    Simulates ``noise_scale * Z(s) + coef * s**(beta+1)`` on the two-sided
-    grid and returns the left slope of its greatest convex minorant at 0.
+    Simulates ``noise_scale * Z(s) + coef * s**(beta+1)``, with ``beta``
+    from the link, on the two-sided grid and returns the left slope of its
+    greatest convex minorant at 0.
     """
     if not grid.two_sided:
         raise ValueError("the slow-regime sampler needs a two-sided grid")
-    coef = _slow_drift_coeff(beta, link, law, x0)
+    coef = _slow_drift_coeff(link, law, x0)
     sigma = link.noise_scale
     rng = _as_rng(seed_or_rng)
 
     def draw(g: PathGrid, k: int):
         p = brownian_paths(g, k, rng)
         p *= sigma
-        p += coef * g.points() ** (beta + 1)
+        p += coef * g.points() ** (link.beta + 1)
         return _gcm_slope_batch(p, g.n_steps - 1, g.step)  # increment ending at 0
 
     return _redraw_escapes(
@@ -284,20 +278,18 @@ def slow_limit_batch(
 def _chernoff_scale(link: LinkSpec, law: FeatureLaw, u: float, x: float) -> float:
     """``(4 phi0(u) (1 - phi0(u)) phi0'(u) / density(x))^(1/3)``."""
     p = float(link_eval(link, u))
-    slope = link_derivative(link, u, 1)
+    slope = link_slope(link, u)
     return (4.0 * p * (1.0 - p) * slope / float(law.density(x))) ** (1.0 / 3.0)
 
 
-def scaled_chernoff_constant(
-    link: LinkSpec, law: FeatureLaw, x0: float, beta: int = 1
-) -> float:
+def scaled_chernoff_constant(link: LinkSpec, law: FeatureLaw, x0: float) -> float:
     """Cube-root constant multiplying the Chernoff draw in the slow regime."""
-    if beta != 1:
+    if link.beta != 1:
         raise ValueError(
             "the closed-form constant exists for flatness order 1 only; "
             "use the general slow-regime sampler for higher orders"
         )
-    if link_derivative(link, 0.0, 1) <= 0:
+    if link_slope(link, 0.0) <= 0:
         raise ValueError(
             "link has vanishing first derivative at 0; "
             "use the general slow-regime sampler"
@@ -306,24 +298,24 @@ def scaled_chernoff_constant(
 
 
 def boundary_drift(
-    beta: int, c: float, link: LinkSpec, law: FeatureLaw, x0: float, s
+    c: float, link: LinkSpec, law: FeatureLaw, x0: float, s
 ) -> float | np.ndarray:
     """Drift of the boundary-case limit process at times ``s`` in [0, 1].
 
-    ``sqrt(c) * d_beta * E[(X - x0)^beta 1{X <= quantile(s)}]``, from the
+    ``sqrt(c) * d_beta * E[(X - x0)^beta 1{X <= quantile(s)}]``, with
+    ``beta = link.beta`` and ``d_beta = link.leading_derivative``, from the
     exact antiderivative (vanishing at ``-T``) of the polynomial
     ``(x - x0)^beta density(x)``.  A scalar ``s`` gives a float.
     """
     if c < 0:
         raise ValueError("boundary constant c must be nonnegative")
-    integrand = Polynomial([-x0, 1.0]) ** beta * Polynomial(law.density_coeffs)
+    integrand = Polynomial([-x0, 1.0]) ** link.beta * Polynomial(law.density_coeffs)
     antiderivative = integrand.integ(lbnd=-law.half_width)
-    out = math.sqrt(c) * link_derivative(link, 0.0, beta) * antiderivative(law.quantile(s))
+    out = math.sqrt(c) * link.leading_derivative * antiderivative(law.quantile(s))
     return float(out) if np.isscalar(s) else out
 
 
 def boundary_limit_batch(
-    beta: int,
     c: float,
     link: LinkSpec,
     law: FeatureLaw,
@@ -340,7 +332,7 @@ def boundary_limit_batch(
     if grid.two_sided or abs(grid.half_width - 1.0) > 1e-12:
         raise ValueError("boundary sampler needs a one-sided grid on [0, 1]")
     pts = grid.points()
-    drift = boundary_drift(beta, c, link, law, x0, pts)
+    drift = boundary_drift(c, link, law, x0, pts)
     sigma = link.noise_scale
     slot = int(np.searchsorted(pts, float(law.cdf(x0)), side="left")) - 1
     rng = _as_rng(seed_or_rng)
@@ -517,8 +509,7 @@ def mu_n(
     It leaves out the support-boundary layer (:func:`boundary_term`),
     which is of relative order ``(n delta_n^2)^(-1/3)``.
     """
-    d1 = link_derivative(scn.link, 0.0, 1)
-    if d1 <= 0:
+    if link_slope(scn.link, 0.0) <= 0:
         raise ValueError("centering needs a strictly positive link slope at 0")
     q = q or QuadratureCfg(1e-10, 48)
     t = scn.law.half_width
@@ -537,7 +528,7 @@ def local_width(scn: Scenario, n: int, x: float) -> float:
     """
     delta = scn.delta(n)
     p = float(link_eval(scn.link, delta * x))
-    slope = link_derivative(scn.link, delta * x, 1)
+    slope = link_slope(scn.link, delta * x)
     if slope <= 0:
         raise ValueError(f"local width needs a strictly positive link slope at x = {x}")
     g = float(scn.law.density(x))
@@ -596,31 +587,34 @@ def sample_limit_batch(
 ) -> LimitBatch:
     """Tagged batch of ``m`` draws; ``l1_fast_maxA`` is exact and takes no grid.
 
-    Every other tag uses ``x0``, which must be interior to the feature support.
+    ``beta`` must equal ``link.beta``.  Every other tag uses ``x0``, which
+    must be interior to the feature support.
     """
     if law_tag not in LAW_TAGS:
         raise ValueError(f"unknown law tag {law_tag!r}")
     if m < 1:
         raise ValueError(f"limit draws must be at least 1, got {m} draws")
+    if beta != link.beta:
+        raise ValueError(f"flatness order beta={beta} does not match the link's {link.beta}")
     if law_tag != "l1_fast_maxA" and not -law.half_width < x0 < law.half_width:
         raise ValueError(f"x0 must be interior to the feature support, got {x0}")
     rng = stream(seed, LAW_TAGS.index(law_tag))
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":
         grid = grid or DEFAULT_TWO_SIDED_GRID
-        kappa = scaled_chernoff_constant(link, law, x0, beta)
+        kappa = scaled_chernoff_constant(link, law, x0)
         draws = kappa * chernoff_batch(grid, m, rng)
         params["kappa"] = kappa
     elif law_tag == "slow_fbeta":
         grid = grid or DEFAULT_TWO_SIDED_GRID
-        draws = slow_limit_batch(beta, link, law, x0, grid, m, rng)
+        draws = slow_limit_batch(link, law, x0, grid, m, rng)
     elif law_tag == "boundary_gbc":
         grid = grid or DEFAULT_UNIT_GRID
-        draws = boundary_limit_batch(beta, c, link, law, x0, grid, m, rng)
+        draws = boundary_limit_batch(c, link, law, x0, grid, m, rng)
         params["c"] = c
     elif law_tag == "fast_w_slope":
         grid = grid or DEFAULT_UNIT_GRID
-        draws = boundary_limit_batch(beta, 0.0, link, law, x0, grid, m, rng)
+        draws = boundary_limit_batch(0.0, link, law, x0, grid, m, rng)
     else:  # l1_fast_maxA
         if grid is not None:
             raise ValueError("l1_fast_maxA is drawn exactly and takes no grid")

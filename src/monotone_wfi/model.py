@@ -32,7 +32,7 @@ __all__ = [
     "HypothesisPair",
     "HypothesisCube",
     "link_eval",
-    "link_derivative",
+    "link_slope",
     "link_inverse",
     "phi_n",
     "sample_dataset",
@@ -51,10 +51,6 @@ __all__ = [
 _LINK_KINDS = ("logistic", "probit", "affine", "beta_flat", "constant")
 _LAW_KINDS = ("uniform", "polynomial")
 
-# Series-based derivative machinery is exact but factorially expensive;
-# orders above this are refused rather than silently degraded.
-_MAX_DERIVATIVE_ORDER = 12
-
 
 # ---------------------------------------------------------------------------
 # links
@@ -70,8 +66,8 @@ class LinkSpec:
         ``beta_flat`` (logistic of ``u**beta`` with odd ``beta``, flat to
         order ``beta - 1`` at zero) or ``constant`` (degenerate test link).
     beta
-        Order of the first non-vanishing derivative at zero.  1 for all
-        families except ``beta_flat``.
+        Order of the first non-vanishing derivative at zero; every family
+        except ``beta_flat`` requires 1.
     params
         Family-specific parameters: probit ``(scale,)``, affine
         ``(intercept, slope)``, constant ``(level,)``.
@@ -91,14 +87,12 @@ class LinkSpec:
                 raise ValueError(
                     "beta_flat links require odd beta; even powers are not monotone"
                 )
-        elif self.kind == "logistic" and self.beta != 1:
-            raise ValueError("logistic link has beta = 1")
-        elif self.kind == "probit":
+        elif self.beta != 1:
+            raise ValueError(f"{self.kind} link has beta = 1")
+        if self.kind == "probit":
             scale = self.params[0] if self.params else 1.0
             if scale <= 0:
                 raise ValueError("probit scale must be positive")
-            if self.beta != 1:
-                raise ValueError("probit link has beta = 1")
         elif self.kind == "affine":
             if len(self.params) != 2:
                 raise ValueError("affine link needs params (intercept, slope)")
@@ -116,6 +110,17 @@ class LinkSpec:
         return float(link_eval(self, 0.0))
 
     @property
+    def leading_derivative(self) -> float:
+        """``phi0^(beta)(0)``, the derivative of order ``beta`` at 0.
+
+        ``beta!/4`` for ``beta_flat`` (logistic of ``u**beta`` is
+        ``1/2 + u**beta/4 + O(u**(3 beta))``), the slope at 0 otherwise.
+        """
+        if self.kind == "beta_flat":
+            return math.factorial(self.beta) / 4.0
+        return link_slope(self, 0.0)
+
+    @property
     def noise_scale(self) -> float:
         """sqrt(phi0(0) * (1 - phi0(0))): Bernoulli noise scale at the center."""
         p = self.value_at_zero
@@ -131,76 +136,6 @@ def _logistic(u):
     eu = np.exp(u[~pos])
     out[~pos] = eu / (1.0 + eu)
     return out
-
-
-def _logistic_derivative_polys(order: int) -> list[np.ndarray]:
-    """Coefficients of P_k with d^k/du^k logistic = P_k(logistic).
-
-    P_0(x) = x and P_{k+1} = P_k'(x) * (x - x^2).
-    """
-    polys = [np.array([0.0, 1.0])]
-    for _ in range(order):
-        p = polys[-1]
-        dp = p[1:] * np.arange(1, len(p))
-        nxt = np.zeros(len(p) + 1)
-        nxt[1 : 1 + len(dp)] += dp
-        nxt[2 : 2 + len(dp)] -= dp
-        polys.append(nxt)
-    return polys
-
-
-def _logistic_derivative(u: float, order: int) -> float:
-    p = _logistic_derivative_polys(order)[order]
-    lam = float(_logistic(u))
-    return float(np.polynomial.polynomial.polyval(lam, p))
-
-
-def _normal_cdf_derivative(v: float, order: int) -> float:
-    """order-th derivative of the standard normal CDF at v (order >= 1)."""
-    phi = math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-    j = order - 1
-    # phi^{(j)}(v) = (-1)^j He_j(v) phi(v), probabilists' Hermite recursion.
-    h_prev, h = 1.0, v
-    if j == 0:
-        return phi
-    for k in range(1, j):
-        h_prev, h = h, v * h - k * h_prev
-    return (-1) ** j * h * phi
-
-
-def _compose_series(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients of outer(inner(t)) where inner(0) contribution
-    is already absorbed into outer's expansion point (inner[0] == 0)."""
-    out = np.zeros(order + 1)
-    out[0] = outer[0]
-    power = np.zeros(order + 1)
-    power[0] = 1.0
-    for k in range(1, len(outer)):
-        # power <- power * inner, truncated
-        new = np.zeros(order + 1)
-        for i in range(order + 1):
-            if power[i] == 0.0:
-                continue
-            hi = min(order - i, len(inner) - 1)
-            new[i : i + hi + 1] += power[i] * inner[: hi + 1]
-        power = new
-        if not power.any():
-            break
-        out += outer[k] * power
-    return out
-
-
-def _beta_flat_derivative(u: float, beta: int, order: int) -> float:
-    """order-th derivative of logistic(u**beta) via truncated series composition."""
-    y0 = u**beta
-    outer = np.array(
-        [_logistic_derivative(y0, k) / math.factorial(k) for k in range(order + 1)]
-    )
-    inner = np.zeros(order + 1)
-    for j in range(1, min(beta, order) + 1):
-        inner[j] = math.comb(beta, j) * u ** (beta - j)
-    coeff = _compose_series(outer, inner, order)
-    return float(coeff[order] * math.factorial(order))
 
 
 def link_eval(link: LinkSpec, u) -> np.ndarray | float:
@@ -222,29 +157,23 @@ def link_eval(link: LinkSpec, u) -> np.ndarray | float:
     return float(out) if scalar else out
 
 
-def link_derivative(link: LinkSpec, u: float, order: int) -> float:
-    """Analytic derivative of the link of the given order at ``u``."""
-    if order < 1:
-        raise ValueError("derivative order must be a positive integer")
-    if link.kind == "affine":
-        a, b = link.params
-        inside = 0.0 < a + b * u < 1.0
-        if order == 1:
-            return b if inside else 0.0
-        return 0.0
-    if link.kind == "constant":
-        return 0.0
-    if order > _MAX_DERIVATIVE_ORDER:
-        raise ValueError(
-            f"unsupported derivative order {order} for {link.kind} "
-            f"(orders up to {_MAX_DERIVATIVE_ORDER} are available)"
-        )
+def link_slope(link: LinkSpec, u: float) -> float:
+    """First derivative ``phi0'(u)`` of the link, in closed form."""
     if link.kind == "logistic":
-        return _logistic_derivative(float(u), order)
+        lam = float(_logistic(u))
+        return lam * (1.0 - lam)
     if link.kind == "probit":
         scale = link.params[0] if link.params else 1.0
-        return _normal_cdf_derivative(float(u) / scale, order) / scale**order
-    return _beta_flat_derivative(float(u), link.beta, order)
+        v = float(u) / scale
+        return math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) / scale
+    if link.kind == "affine":
+        a, b = link.params
+        return b if 0.0 < a + b * u < 1.0 else 0.0
+    if link.kind == "beta_flat":
+        beta = link.beta
+        lam = float(_logistic(u**beta))
+        return beta * u ** (beta - 1) * lam * (1.0 - lam)
+    return 0.0  # constant
 
 
 def link_inverse(link: LinkSpec, p: float) -> float:

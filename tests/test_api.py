@@ -1,7 +1,9 @@
-"""Public surface: every exported name exists."""
+"""Public surface: every exported name exists, and every name the benchmark traces."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,18 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark's tracer wraps these names from outside; a renamed one
+    # would break only traced benchmark runs
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _, _ in tracing.targets()
+        if attr not in vars(owner)
+    ]
+    assert not missing, f"traced names missing: {missing}"

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from monotone_wfi import experiments
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -195,6 +196,18 @@ class TestSimulateLimit:
         assert "interior" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "limit_batch.csv").exists()
 
+    def test_higher_beta_for_a_non_flat_link_exits_2(self, tmp_path, capsys):
+        # an affine link is flat to no order; boundary_gbc drew a zero drift for it
+        code = main([
+            "simulate-limit", "--out", str(tmp_path),
+            "--set", "limit.law_tag=boundary_gbc", "--set", "limit.draws=10",
+            "--set", "scenario.link=affine", "--set", "scenario.link_params=0.4,0.2",
+            "--set", "scenario.beta=3",
+        ])
+        assert code == 2
+        assert "beta = 1" in capsys.readouterr().err
+        assert not (tmp_path / "limit_batch.csv").exists()
+
     @pytest.mark.parametrize(
         "tag, key", [("l1_fast_maxA", "grid.step=0.002"), ("fast_w_slope", "grid.half_width=4.0")]
     )
@@ -328,7 +341,34 @@ class TestStudyCommands:
         assert len(_read(out / "rate_study.csv").splitlines()) == 1 + 3 * 60
 
 
+def _no_draws(*args):
+    raise AssertionError("a replicate ran before the input check")
+
+
 class TestStudyInputChecks:
+    @pytest.mark.parametrize("command", ["rate-study", "tail-probe"])
+    def test_exterior_x0_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(experiments, "draw_sample", _no_draws)
+        code = main([
+            command, "--out", str(tmp_path),
+            "--set", "study.x0=2.0", "--set", "study.n_list=64,128,256",
+            "--set", "study.replicates=50",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "interior" in err and len(err.strip().splitlines()) == 1
+
+    def test_tail_probe_two_sizes_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "draw_sample", _no_draws)
+        code = main([
+            "tail-probe", "--out", str(tmp_path),
+            "--set", "study.n_list=64,128", "--set", "study.replicates=50",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at least 3 sample sizes" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "tail_probe.manifest.json").exists()
+
     def test_limit_compare_exterior_x0_exits_2(self, tmp_path, capsys):
         code = main([
             "limit-compare", "--out", str(tmp_path),
@@ -348,6 +388,48 @@ class TestStudyInputChecks:
         assert code == 2
         err = capsys.readouterr().err
         assert "two strictly increasing sizes" in err and len(err.strip().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+SMOKE_RUNS = {
+    "simulate-limit": ["--set", "limit.draws=50", "--set", "grid.step=0.04"],
+    "constants": [
+        "--set", "constants.abs_mean_draws=10000", "--set", "constants.cov_draws=500",
+        "--set", "grid.step=0.04",
+    ],
+    "rate-study": [
+        "--set", "study.gammas=0.8", "--set", "study.n_list=64,128,256",
+        "--set", "study.replicates=50",
+    ],
+    "limit-compare": [
+        "--set", "scenario.impact_exponent=0.5", "--set", "study.regime=boundary_pointwise",
+        "--set", "study.n_list=200", "--set", "study.replicates=50",
+        "--set", "study.limit_draws=100",
+    ],
+    "lower-bound-audit": [],
+    "tail-probe": ["--set", "study.n_list=64,128,256", "--set", "study.replicates=50"],
+    "consistency": [
+        "--set", "study.n_list=64,128,256", "--set", "study.replicates=50",
+        "--set", "study.hellinger_ns=100,400",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_RUNS))
+def test_every_json_output_is_strict(tmp_path, command):
+    # json.dumps writes NaN and Infinity, which strict parsers reject
+    assert main([command, "--out", str(tmp_path), *SMOKE_RUNS[command]]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert written
+    for path in written:
+        json.loads(_read(path), parse_constant=_reject_constant)
+
+
+def test_smoke_runs_cover_every_command():
+    assert set(SMOKE_RUNS) == set(SCHEMAS)
 
 
 class TestNumericalFailureExit:

@@ -169,13 +169,13 @@ class TestLimitComparison:
             raise AssertionError("a replicate ran before the x0 check")
 
         monkeypatch.setattr(experiments, "draw_sample", no_draws)
-        cfg = StudyConfig(_scn(gamma), (200,), 50, x0=x0, regime=regime, limit_draws=100)
         with pytest.raises(ValueError, match="interior to the feature support"):
+            cfg = StudyConfig(_scn(gamma), (200,), 50, x0=x0, regime=regime, limit_draws=100)
             run_limit_comparison(cfg)
 
     def test_one_limit_batch_unless_c_varies(self, monkeypatch):
-        # the limit law depends on n only through c, which only the
-        # boundary regime has; the records match a per-size redraw
+        # the limit law does not depend on n, not even through the boundary
+        # constant c = impact_scale^(2 beta); the records match a per-size redraw
         calls = []
         draw = experiments.limits.sample_limit_batch
 
@@ -195,10 +195,12 @@ class TestLimitComparison:
         calls.clear()
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.5)
         cfg = StudyConfig(
-            scn, (200, 400), 50, seed_base=7, regime="boundary_pointwise", limit_draws=200
+            scn, (200, 400, 1000), 50, seed_base=7, regime="boundary_pointwise", limit_draws=200
         )
         res = run_limit_comparison(cfg)
-        assert sorted(calls) == sorted(set(res.extras["standardization_c"].values()))
+        # n delta_n^2 rounds to 1.0, 1.0000000000000002 and 0.9999999999999998
+        assert calls == [1.0]
+        assert res.manifest["standardization_c"] == {"200": 1.0, "400": 1.0, "1000": 1.0}
 
     def test_smoke_run_records(self):
         cfg = StudyConfig(
@@ -263,9 +265,18 @@ class TestTailProbe:
         # larger thresholds below the resolution scale are flagged vacuous
         assert "0.02" in res.manifest["vacuous_thresholds"]["256"]
 
+    def test_fewer_than_three_sizes_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the size check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        for sizes in ((256,), (256, 1024)):
+            with pytest.raises(ValueError, match="at least 3 sample sizes"):
+                run_tail_bound_probe(StudyConfig(_scn(0.25), sizes, 50))
+
     def test_frequency_drops_with_sample_size(self):
         cfg = StudyConfig(
-            _scn(0.25), (256, 4096), 150, seed_base=29, threads=2, probe_xs=(0.15,)
+            _scn(0.25), (256, 1024, 4096), 150, seed_base=29, threads=2, probe_xs=(0.15,)
         )
         res = run_tail_bound_probe(cfg)
         f = res.manifest["exceedance_frequencies"]

@@ -33,7 +33,7 @@ from monotone_wfi import limits
 from monotone_wfi.limits import _chunked, _gcm_slope_batch
 from monotone_wfi.estimator import lower_hull_indices, npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, adaptive_simpson, ks_two_sample, l1_error
-from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample, link_derivative
+from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
 from monotone_wfi.streams import stream
 
 LOGISTIC = LinkSpec("logistic")
@@ -220,23 +220,24 @@ class TestGcmSlopeMachinery:
 class TestSlowRegimeSampler:
     def test_matches_scaled_chernoff_for_linear_flatness(self):
         kappa = scaled_chernoff_constant(LOGISTIC, UNIFORM, 0.0)
-        sl = slow_limit_batch(1, LOGISTIC, UNIFORM, 0.0, COARSE, 20_000, 21)
+        sl = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, COARSE, 20_000, 21)
         ref = kappa * chernoff_batch(COARSE, 20_000, 22)
         assert ks_two_sample(sl, ref) <= 0.025
 
     def test_symmetric_law_for_linear_flatness(self):
-        draws = slow_limit_batch(1, LOGISTIC, UNIFORM, 0.0, COARSE, 20_000, 23)
+        draws = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, COARSE, 20_000, 23)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert draws.mean() == pytest.approx(0.0, abs=3 * se)
 
-    def test_flatness_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            slow_limit_batch(2, LOGISTIC, UNIFORM, 0.0, COARSE, 10, 1)
+    def test_vanishing_leading_derivative_rejected(self):
+        flat = LinkSpec("constant", params=(0.5,))
+        with pytest.raises(ValueError, match="strictly positive"):
+            slow_limit_batch(flat, UNIFORM, 0.0, COARSE, 10, 1)
 
     def test_higher_flatness_spreads_wider(self):
         flat3 = LinkSpec("beta_flat", beta=3)
-        d3 = slow_limit_batch(3, flat3, UNIFORM, 0.0, COARSE, 5000, 24)
-        d1 = slow_limit_batch(1, LOGISTIC, UNIFORM, 0.0, COARSE, 5000, 25)
+        d3 = slow_limit_batch(flat3, UNIFORM, 0.0, COARSE, 5000, 24)
+        d1 = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, COARSE, 5000, 25)
         assert d3.std() > d1.std()
 
 
@@ -257,20 +258,22 @@ class TestScaledChernoffConstant:
         with pytest.raises(ValueError, match="slow-regime sampler"):
             scaled_chernoff_constant(flat3, UNIFORM, 0.0)
         with pytest.raises(ValueError, match="order 1"):
-            scaled_chernoff_constant(flat3, UNIFORM, 0.0, beta=3)
+            scaled_chernoff_constant(flat3, UNIFORM, 0.0)
+        with pytest.raises(ValueError, match="vanishing first derivative"):
+            scaled_chernoff_constant(LinkSpec("constant", params=(0.5,)), UNIFORM, 0.0)
 
 
 class TestBoundaryDrift:
     def test_empty_range_is_zero(self):
-        assert boundary_drift(1, 1.0, LOGISTIC, UNIFORM, 0.0, 0.0) == 0.0
+        assert boundary_drift(1.0, LOGISTIC, UNIFORM, 0.0, 0.0) == 0.0
 
     def test_full_range_symmetry(self):
-        val = boundary_drift(1, 1.0, LOGISTIC, UNIFORM, 0.0, 1.0)
+        val = boundary_drift(1.0, LOGISTIC, UNIFORM, 0.0, 1.0)
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_half_range_closed_form(self):
         # E[X 1{X <= 0}] = -1/4 for the unit uniform law
-        val = boundary_drift(1, 4.0, LOGISTIC, UNIFORM, 0.0, 0.5)
+        val = boundary_drift(4.0, LOGISTIC, UNIFORM, 0.0, 0.5)
         assert val == pytest.approx(-2.0 * 0.25 / 4.0, abs=1e-10)
 
     @pytest.mark.parametrize("law", [UNIFORM, POLY], ids=["uniform", "polynomial"])
@@ -279,9 +282,9 @@ class TestBoundaryDrift:
     def test_exact_drift_matches_quadrature(self, law, beta, x0):
         # the antiderivative against adaptive Simpson of (x - x0)^beta g(x)
         link = LOGISTIC if beta == 1 else LinkSpec("beta_flat", beta=3)
-        scale = math.sqrt(2.0) * link_derivative(link, 0.0, beta)
+        scale = math.sqrt(2.0) * link.leading_derivative
         pts = np.linspace(0.0, 1.0, 11)
-        drift = boundary_drift(beta, 2.0, link, law, x0, pts)
+        drift = boundary_drift(2.0, link, law, x0, pts)
         for s, got in zip(pts, drift):
             upper = float(law.quantile(float(s)))
             quad = adaptive_simpson(
@@ -291,14 +294,14 @@ class TestBoundaryDrift:
                 QuadratureCfg(1e-14, 48),
             )
             assert abs(got - scale * quad) <= 1e-12
-            scalar = boundary_drift(beta, 2.0, link, law, x0, float(s))
+            scalar = boundary_drift(2.0, link, law, x0, float(s))
             assert type(scalar) is float and scalar == got
 
     def test_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            boundary_drift(1, -1.0, LOGISTIC, UNIFORM, 0.0, 0.5)
+            boundary_drift(-1.0, LOGISTIC, UNIFORM, 0.0, 0.5)
         with pytest.raises(ValueError, match="quantile argument"):
-            boundary_drift(1, 1.0, LOGISTIC, UNIFORM, 0.0, np.array([0.5, 1.5]))
+            boundary_drift(1.0, LOGISTIC, UNIFORM, 0.0, np.array([0.5, 1.5]))
 
 
 class TestBoundarySampler:
@@ -312,18 +315,18 @@ class TestBoundarySampler:
 
     def test_needs_unit_grid(self):
         with pytest.raises(ValueError, match="one-sided"):
-            boundary_limit_batch(1, 1.0, LOGISTIC, UNIFORM, 0.0, COARSE, 4, 1)
+            boundary_limit_batch(1.0, LOGISTIC, UNIFORM, 0.0, COARSE, 4, 1)
 
     def test_weak_continuity_in_drift_scale(self):
         # nearby drift scales give closer laws than distant ones
         m = 20_000
         k_near = ks_two_sample(
-            boundary_limit_batch(1, 0.9, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 31),
-            boundary_limit_batch(1, 1.1, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 32),
+            boundary_limit_batch(0.9, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 31),
+            boundary_limit_batch(1.1, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 32),
         )
         k_far = ks_two_sample(
-            boundary_limit_batch(1, 0.0, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 33),
-            boundary_limit_batch(1, 4.0, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 34),
+            boundary_limit_batch(0.0, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 33),
+            boundary_limit_batch(4.0, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, m, 34),
         )
         assert k_near <= k_far
 
@@ -331,7 +334,7 @@ class TestBoundarySampler:
         # with the noise switched off the draw is the minorant slope of the
         # drift itself; the drift is convex with zero slope at the center
         pts = COARSE_UNIT.points()
-        drift = boundary_drift(1, 9.0, LOGISTIC, UNIFORM, 0.0, pts)
+        drift = boundary_drift(9.0, LOGISTIC, UNIFORM, 0.0, pts)
         val = _hull_left_slope(pts, drift, float(UNIFORM.cdf(0.0)))
         assert val == pytest.approx(0.0, abs=1e-3)
         probe = 0.9
@@ -509,6 +512,20 @@ class TestLimitBatches:
             with pytest.raises(ValueError, match="draws"):
                 sample_limit_batch("scaled_chernoff", m, 1, link=LOGISTIC, law=UNIFORM)
 
+    def test_beta_mismatch_rejected_before_any_path(self, monkeypatch):
+        # a beta that contradicts the link would otherwise draw with the
+        # link's own order (or, for boundary_gbc, silently without drift)
+        def no_paths(*args):
+            raise AssertionError("a path was drawn before the beta check")
+
+        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        flat3 = LinkSpec("beta_flat", beta=3)
+        for tag in limits.LAW_TAGS:
+            with pytest.raises(ValueError, match="does not match"):
+                sample_limit_batch(tag, 10, 1, link=LOGISTIC, law=UNIFORM, beta=3)
+            with pytest.raises(ValueError, match="does not match"):
+                sample_limit_batch(tag, 10, 1, link=flat3, law=UNIFORM)
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="law tag"):
             sample_limit_batch("weird", 10, 1, link=LOGISTIC, law=UNIFORM)
@@ -542,13 +559,13 @@ class TestGridRefinementStability:
         self._stable(coarse, fine)
 
     def test_slow_limit(self):
-        coarse = slow_limit_batch(1, LOGISTIC, UNIFORM, 0.0, PathGrid(4.0, 0.008, True), 5000, 203)
-        fine = slow_limit_batch(1, LOGISTIC, UNIFORM, 0.0, PathGrid(8.0, 0.004, True), 5000, 204)
+        coarse = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, PathGrid(4.0, 0.008, True), 5000, 203)
+        fine = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, PathGrid(8.0, 0.004, True), 5000, 204)
         self._stable(coarse, fine)
 
     def test_boundary(self):
-        coarse = boundary_limit_batch(1, 1.0, LOGISTIC, UNIFORM, 0.0, PathGrid(1.0, 0.002, False), 5000, 205)
-        fine = boundary_limit_batch(1, 1.0, LOGISTIC, UNIFORM, 0.0, PathGrid(1.0, 0.001, False), 5000, 206)
+        coarse = boundary_limit_batch(1.0, LOGISTIC, UNIFORM, 0.0, PathGrid(1.0, 0.002, False), 5000, 205)
+        fine = boundary_limit_batch(1.0, LOGISTIC, UNIFORM, 0.0, PathGrid(1.0, 0.001, False), 5000, 206)
         self._stable(coarse, fine)
 
 
@@ -557,7 +574,7 @@ class TestSlowLimitIdentityFullSize:
         # the linear-flatness slope sampler and the rescaled argmin law
         # agree at the contracted 5e4-draw size and 0.02 tolerance
         kappa = scaled_chernoff_constant(LOGISTIC, UNIFORM, 0.0)
-        sl = slow_limit_batch(1, LOGISTIC, UNIFORM, 0.0, COARSE, 50_000, 211)
+        sl = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, COARSE, 50_000, 211)
         ref = kappa * chernoff_batch(COARSE, 50_000, 212)
         assert ks_two_sample(sl, ref) <= 0.02
 

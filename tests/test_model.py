@@ -17,9 +17,9 @@ from monotone_wfi.model import (
     default_cube_constant,
     default_slow_pair_constant,
     in_slope_band,
-    link_derivative,
     link_eval,
     link_inverse,
+    link_slope,
     phi_n,
     sample_dataset,
     slope_band_report,
@@ -39,22 +39,13 @@ ALL_LINKS = [
 ]
 
 
-def _fd_central(f, u, order, h):
-    stencils = {
-        1: ([-0.5, 0.0, 0.5], 1),
-        2: ([1.0, -2.0, 1.0], 2),
-        3: ([-0.5, 1.0, 0.0, -1.0, 0.5], 3),
-        4: ([1.0, -4.0, 6.0, -4.0, 1.0], 4),
-    }
-    w, p = stencils[order]
-    k = (len(w) - 1) // 2
-    val = sum(w[i] * f(u + (i - k) * h) for i in range(len(w)))
-    return val / h**p
+def _fd_central(f, u, h):
+    return (f(u + h) - f(u - h)) / (2.0 * h)
 
 
-def _fd_derivative(f, u, order, h=2e-2):
-    """Richardson-extrapolated central differences (O(h^4) truncation)."""
-    return (4.0 * _fd_central(f, u, order, h / 2) - _fd_central(f, u, order, h)) / 3.0
+def _fd_slope(f, u, h):
+    """Richardson-extrapolated central difference (O(h^4) truncation)."""
+    return (4.0 * _fd_central(f, u, h / 2) - _fd_central(f, u, h)) / 3.0
 
 
 class TestLinkValues:
@@ -65,12 +56,12 @@ class TestLinkValues:
     def test_beta_flat_cubic_at_zero(self):
         link = LinkSpec("beta_flat", beta=3)
         assert link_eval(link, 0.0) == 0.5
-        assert link_derivative(link, 0.0, 1) == 0.0
-        assert link_derivative(link, 0.0, 2) == 0.0
-        assert link_derivative(link, 0.0, 3) == pytest.approx(1.5, abs=1e-12)
+        assert link_slope(link, 0.0) == 0.0
+        assert link.leading_derivative == 1.5
 
     def test_logistic_first_derivative(self):
-        assert link_derivative(LOGISTIC, 0.0, 1) == pytest.approx(0.25, abs=1e-15)
+        assert link_slope(LOGISTIC, 0.0) == 0.25
+        assert LOGISTIC.leading_derivative == 0.25
 
     def test_values_in_unit_interval_and_monotone(self):
         grid = np.linspace(-8, 8, 4001)
@@ -82,39 +73,42 @@ class TestLinkValues:
 
     def test_flatness_structure(self):
         for link in ALL_LINKS:
-            for k in range(1, link.beta):
-                assert link_derivative(link, 0.0, k) == pytest.approx(0.0, abs=1e-12)
-            assert link_derivative(link, 0.0, link.beta) > 0
+            if link.beta > 1:
+                assert link_slope(link, 0.0) == 0.0
+            assert link.leading_derivative > 0
 
     def test_derivatives_match_finite_differences(self):
-        # low orders across the interval; higher orders nearer the center,
-        # where the composition's sixth derivative cannot swamp the stencil
-        cases = {1: ((-1.0, -0.3, 0.0, 0.4, 1.0), 2e-3), 2: ((-1.0, -0.3, 0.0, 0.4, 1.0), 2e-3),
-                 3: ((-0.4, 0.0, 0.3), 1e-2), 4: ((-0.4, 0.0, 0.3), 2e-2)}
-        for link in ALL_LINKS:
-            if link.kind == "affine":
-                continue
-            for order in range(1, min(link.beta, 4) + 1):
-                us, h = cases[order]
-                for u in us:
-                    an = link_derivative(link, u, order)
-                    fd = _fd_derivative(lambda v: link_eval(link, v), u, order, h)
-                    assert an == pytest.approx(fd, rel=1e-6, abs=2e-6), (
-                        link.kind,
-                        link.beta,
-                        u,
-                        order,
-                    )
+        links = ALL_LINKS + [LinkSpec("constant", params=(0.3,))]
+        for link in links:
+            for u in (-1.0, -0.3, 0.0, 0.4, 1.0):
+                fd = _fd_slope(lambda v: link_eval(link, v), u, 2e-3)
+                assert link_slope(link, u) == pytest.approx(fd, rel=1e-6, abs=2e-6), (
+                    link.kind,
+                    link.beta,
+                    u,
+                )
+        assert link_slope(LinkSpec("affine", params=(0.4, 0.2)), 3.5) == 0.0  # clamped at 1
 
-    def test_unsupported_order_raises(self):
-        with pytest.raises(ValueError):
-            link_derivative(LOGISTIC, 0.0, 0)
-        with pytest.raises(ValueError):
-            link_derivative(LOGISTIC, 0.0, 13)
+    @pytest.mark.parametrize(
+        "link", ALL_LINKS[:5], ids=["logistic", "probit1", "probit2", "beta_flat3", "beta_flat5"]
+    )
+    def test_leading_derivative_matches_difference_quotient(self, link):
+        # phi0(u) - phi0(0) = phi0^(beta)(0) u^beta / beta! + O(u^(beta+1))
+        u = 1e-6 ** (1.0 / link.beta)
+        quotient = (link_eval(link, u) - link.value_at_zero) * math.factorial(link.beta) / u**link.beta
+        assert link.leading_derivative == pytest.approx(quotient, rel=1e-6)
 
     def test_even_beta_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             LinkSpec("beta_flat", beta=2)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("logistic", ()), ("probit", (1.0,)), ("affine", ()), ("constant", (0.5,))],
+    )
+    def test_only_beta_flat_takes_higher_flatness(self, kind, params):
+        with pytest.raises(ValueError, match="beta = 1"):
+            LinkSpec(kind, beta=3, params=params)
 
     def test_inverse_round_trip(self):
         for link in ALL_LINKS:
