@@ -27,6 +27,7 @@ from . import svgplot
 from .experiments import (
     AuditConfig,
     StudyConfig,
+    StudyResult,
     run_consistency_study,
     run_limit_comparison,
     run_lower_bound_audit,
@@ -36,8 +37,10 @@ from .experiments import (
 from .estimator import npmle_fit
 from .limits import (
     GridEscapeError,
+    LAW_GRIDS,
     LAW_TAGS,
     PathGrid,
+    check_cov_integral_args,
     chernoff_abs_mean,
     chernoff_cov_integral,
     sample_limit_batch,
@@ -84,10 +87,10 @@ _COMMON_KEYS = {
     "out": ("str", "out"),
 }
 
+# none: the law's own value (limits.LAW_GRIDS)
 _GRID_KEYS = {
-    "grid.half_width": ("float", 4.0),
-    "grid.step": ("float", 0.002),
-    "grid.two_sided": ("int", 1),
+    "grid.half_width": ("ofloat", None),
+    "grid.step": ("ofloat", None),
 }
 
 SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
@@ -141,7 +144,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         **_SCENARIO_KEYS,
         "study.n_list": ("ints", (512, 1024, 2048, 4096, 8192, 16384, 32768)),
         "study.replicates": ("int", 200),
-        "study.x0": ("float", 0.0),
         "study.hellinger_ns": ("ints", (400, 6400)),
         "study.sup_gammas": ("floats", (0.25, 0.8)),
         "tolerances.hellinger_ratio": ("float", 0.55),
@@ -228,12 +230,6 @@ def emit_config_text(command: str, cfg: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _given_keys(text: str, sets) -> set[str]:
-    """Keys that a (validated) config text or the ``--set`` items assign."""
-    items = [line.split("#", 1)[0] for line in text.splitlines()] + list(sets or [])
-    return {item.split("=", 1)[0].strip() for item in items if "=" in item}
-
-
 def _apply_overrides(command: str, cfg: dict, args) -> dict:
     schema = SCHEMAS[command]
     for item in args.set or []:
@@ -255,27 +251,47 @@ def _apply_overrides(command: str, cfg: dict, args) -> dict:
     return cfg
 
 
-def _build_scenario(cfg: dict) -> Scenario:
-    link = LinkSpec(
-        cfg["scenario.link"], cfg["scenario.beta"], tuple(cfg["scenario.link_params"])
-    )
-    law = FeatureLaw(cfg["law.kind"], cfg["law.half_width"], tuple(cfg["law.params"]))
-    return Scenario(
-        link,
-        law,
-        cfg["scenario.impact_scale"],
-        cfg["scenario.impact_exponent"],
-        cfg["scenario.beta"],
-    )
+def _keys_under(cfg: dict, prefix: str) -> dict:
+    """The values of the keys ``<prefix>.<name>``, by ``name``."""
+    return {k[len(prefix) + 1 :]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
 
 
 def _build_law(cfg: dict) -> FeatureLaw:
     return FeatureLaw(cfg["law.kind"], cfg["law.half_width"], tuple(cfg["law.params"]))
 
 
-def _build_grid(cfg: dict) -> PathGrid:
-    return PathGrid(
-        cfg["grid.half_width"], cfg["grid.step"], bool(cfg["grid.two_sided"])
+def _build_scenario(cfg: dict) -> Scenario:
+    link = LinkSpec(
+        cfg["scenario.link"], cfg["scenario.beta"], tuple(cfg["scenario.link_params"])
+    )
+    return Scenario(
+        link,
+        _build_law(cfg),
+        cfg["scenario.impact_scale"],
+        cfg["scenario.impact_exponent"],
+        cfg["scenario.beta"],
+    )
+
+
+def _build_grid(cfg: dict, law_tag: str) -> PathGrid | None:
+    """The law's own window with the grid keys that are set laid over it."""
+    grid = LAW_GRIDS[law_tag]
+    given = {k: v for k, v in _keys_under(cfg, "grid").items() if v is not None}
+    if given and grid is None:
+        raise ConfigError(f"{law_tag} is drawn exactly and takes no grid")
+    return replace(grid, **given) if given else grid
+
+
+def _study_config(cfg: dict, scenario: Scenario, **own_fields) -> StudyConfig:
+    """The keys every study shares, plus the command's own fields."""
+    return StudyConfig(
+        scenario,
+        cfg["study.n_list"],
+        cfg["study.replicates"],
+        seed_base=cfg["seed"],
+        threads=cfg["threads"],
+        tolerances=_keys_under(cfg, "tolerances"),
+        **own_fields,
     )
 
 
@@ -301,8 +317,17 @@ def _write_manifest(path: Path, command: str, cfg: dict, manifest: dict) -> None
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _check_exit(args, results) -> int:
-    if args.check and not all(r.passed for r in results):
+def _write_study(cfg: dict, command: str, res: StudyResult) -> Path:
+    """Write the study's records CSV and manifest; return the output directory."""
+    out = _out_dir(cfg)
+    stem = command.replace("-", "_")
+    _write_text(out / f"{stem}.csv", res.to_csv_text())
+    _write_manifest(out / f"{stem}.manifest.json", command, cfg, res.manifest)
+    return out
+
+
+def _check_exit(args, res: StudyResult) -> int:
+    if args.check and not res.passed:
         print("acceptance check failed", file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK
@@ -343,8 +368,6 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
     tag = cfg["limit.law_tag"]
     if tag not in LAW_TAGS:
         raise ConfigError(f"unknown law tag {tag!r}; choose from {LAW_TAGS}")
-    # no grid key given means "use the law's own default grid, if it takes one"
-    grid = _build_grid(cfg) if args.given_keys & _GRID_KEYS.keys() else None
     batch = sample_limit_batch(
         tag,
         cfg["limit.draws"],
@@ -354,7 +377,7 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
         x0=cfg["limit.x0"],
         beta=cfg["scenario.beta"],
         c=cfg["limit.c"],
-        grid=grid,
+        grid=_build_grid(cfg, tag),
     )
     out = _out_dir(cfg)
     _write_text(
@@ -377,95 +400,67 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
 
 
 def _cmd_rate_study(cfg: dict, args) -> int:
+    gammas = cfg["study.gammas"]
+    if not gammas or len(set(gammas)) < len(gammas):
+        raise ConfigError(f"study.gammas must be nonempty and without repeats, got {gammas}")
     scn = _build_scenario(cfg)
-    out = _out_dir(cfg)
-    results = []
-    rows = ["gamma,n,replicate,err_pointwise,err_l1"]
-    gamma_manifests = {}
-    pw_series, l1_series, notes = [], [], []
-    for gamma in cfg["study.gammas"]:
-        study = StudyConfig(
+    # every gamma's config is checked before the first replicate is drawn
+    studies = [
+        _study_config(
+            cfg,
             replace(scn, impact_exponent=gamma),
-            cfg["study.n_list"],
-            cfg["study.replicates"],
             x0=cfg["study.x0"],
-            seed_base=cfg["seed"],
-            threads=cfg["threads"],
             centering_draws=cfg["study.centering_draws"],
-            tolerances={
-                "slope": cfg["tolerances.slope"],
-                "centering": cfg["tolerances.centering"],
-            },
         )
-        res = run_rate_study(study)
-        results.append(res)
-        for rec in res.records:
-            rows.append(",".join(_g17(v) if isinstance(v, float) else str(v) for v in rec))
-        gamma_manifests[repr(float(gamma))] = res.manifest
-        ns = list(cfg["study.n_list"])
-        pw_series.append(
-            {"xs": ns, "ys": res.summary["medians_pointwise"], "label": f"gamma={gamma:g}"}
-        )
-        l1_series.append(
-            {"xs": ns, "ys": res.summary["medians_l1"], "label": f"gamma={gamma:g}"}
-        )
-        notes.append(
-            f"gamma={gamma:g}: slope pw {res.summary['slope_pointwise']:.3f}, "
-            f"L1 {res.summary['slope_l1']:.3f} (target {res.summary['target_slope']:.3f})"
-        )
-    _write_text(out / "rate_study.csv", "\n".join(rows) + "\n")
-    _write_manifest(
-        out / "rate_study.manifest.json",
-        "rate-study",
-        cfg,
+        for gamma in gammas
+    ]
+    results = [run_rate_study(study) for study in studies]
+    res = StudyResult(
+        results[0].columns,
+        [rec for r in results for rec in r.records],
+        {},
         {
-            "per_gamma": gamma_manifests,
-            "flags": {
-                f"gamma_{g}": r.passed
-                for g, r in zip(cfg["study.gammas"], results)
-            },
+            "per_gamma": {repr(float(g)): r.manifest for g, r in zip(gammas, results)},
+            "flags": {f"gamma_{g}": r.passed for g, r in zip(gammas, results)},
         },
     )
-    svgplot.line_plot(
-        out / "rate_study.pointwise.svg",
-        pw_series,
-        title="Pointwise error medians",
-        xlabel="n",
-        ylabel="median error",
-        logx=True,
-        logy=True,
-        annotations=tuple(notes),
+    out = _write_study(cfg, "rate-study", res)
+    notes = tuple(
+        f"gamma={g:g}: slope pw {r.summary['slope_pointwise']:.3f}, "
+        f"L1 {r.summary['slope_l1']:.3f} (target {r.summary['target_slope']:.3f})"
+        for g, r in zip(gammas, results)
     )
-    svgplot.line_plot(
-        out / "rate_study.l1.svg",
-        l1_series,
-        title="Integrated error medians",
-        xlabel="n",
-        ylabel="median error",
-        logx=True,
-        logy=True,
-        annotations=tuple(notes),
-    )
-    return _check_exit(args, results)
+    for part, title in (("pointwise", "Pointwise"), ("l1", "Integrated")):
+        svgplot.line_plot(
+            out / f"rate_study.{part}.svg",
+            [
+                {
+                    "xs": list(cfg["study.n_list"]),
+                    "ys": r.summary[f"medians_{part}"],
+                    "label": f"gamma={g:g}",
+                }
+                for g, r in zip(gammas, results)
+            ],
+            title=f"{title} error medians",
+            xlabel="n",
+            ylabel="median error",
+            logx=True,
+            logy=True,
+            annotations=notes,
+        )
+    return _check_exit(args, res)
 
 
 def _cmd_limit_compare(cfg: dict, args) -> int:
-    scn = _build_scenario(cfg)
-    study = StudyConfig(
-        scn,
-        cfg["study.n_list"],
-        cfg["study.replicates"],
+    study = _study_config(
+        cfg,
+        _build_scenario(cfg),
         x0=cfg["study.x0"],
-        seed_base=cfg["seed"],
-        threads=cfg["threads"],
         regime=cfg["study.regime"],
         limit_draws=cfg["study.limit_draws"],
-        tolerances={"ks": cfg["tolerances.ks"]},
     )
     res = run_limit_comparison(study)
-    out = _out_dir(cfg)
-    _write_text(out / "limit_compare.csv", res.to_csv_text())
-    _write_manifest(out / "limit_compare.manifest.json", "limit-compare", cfg, res.manifest)
+    out = _write_study(cfg, "limit-compare", res)
     n_big = cfg["study.n_list"][-1]
     svgplot.cdf_overlay(
         out / "limit_compare.cdf.svg",
@@ -473,28 +468,14 @@ def _cmd_limit_compare(cfg: dict, args) -> int:
         [f"finite n={n_big}", "limit law"],
         title=f"{cfg['study.regime']}: KS={res.summary['ks'][n_big]:.4f}",
     )
-    return _check_exit(args, [res])
+    return _check_exit(args, res)
 
 
 def _cmd_lower_bound_audit(cfg: dict, args) -> int:
-    audit = AuditConfig(
-        _build_law(cfg),
-        x0=cfg["audit.x0"],
-        n_fast=cfg["audit.n_fast"],
-        delta_fast=cfg["audit.delta_fast"],
-        n_slow=cfg["audit.n_slow"],
-        delta_slow=cfg["audit.delta_slow"],
-        c_fast=cfg["audit.c_fast"],
-        c_slow=cfg["audit.c_slow"],
-        c_cube=cfg["audit.c_cube"],
-        quad_tol=cfg["audit.quad_tol"],
-    )
+    # every audit.* key is an AuditConfig field of the same name
+    audit = AuditConfig(_build_law(cfg), **_keys_under(cfg, "audit"))
     res = run_lower_bound_audit(audit)
-    out = _out_dir(cfg)
-    _write_text(out / "lower_bound_audit.csv", res.to_csv_text())
-    _write_manifest(
-        out / "lower_bound_audit.manifest.json", "lower-bound-audit", cfg, res.manifest
-    )
+    out = _write_study(cfg, "lower-bound-audit", res)
     pair = res.extras["slow_pair"]
     cube = res.extras["cube"]
     grid = np.linspace(-audit.law.half_width, audit.law.half_width, 513)
@@ -516,25 +497,15 @@ def _cmd_lower_bound_audit(cfg: dict, args) -> int:
         xlabel="x",
         ylabel="value",
     )
-    return _check_exit(args, [res])
+    return _check_exit(args, res)
 
 
 def _cmd_tail_probe(cfg: dict, args) -> int:
-    scn = _build_scenario(cfg)
-    study = StudyConfig(
-        scn,
-        cfg["study.n_list"],
-        cfg["study.replicates"],
-        x0=cfg["study.x0"],
-        seed_base=cfg["seed"],
-        threads=cfg["threads"],
-        probe_xs=cfg["study.probe_xs"],
-        tolerances={"slope": cfg["tolerances.slope"]},
+    study = _study_config(
+        cfg, _build_scenario(cfg), x0=cfg["study.x0"], probe_xs=cfg["study.probe_xs"]
     )
     res = run_tail_bound_probe(study)
-    out = _out_dir(cfg)
-    _write_text(out / "tail_probe.csv", res.to_csv_text())
-    _write_manifest(out / "tail_probe.manifest.json", "tail-probe", cfg, res.manifest)
+    out = _write_study(cfg, "tail-probe", res)
     svgplot.line_plot(
         out / "tail_probe.medians.svg",
         [
@@ -553,52 +524,31 @@ def _cmd_tail_probe(cfg: dict, args) -> int:
             f"slope {res.summary['slope']:.3f} (target {res.manifest['target_slope']:.3f})",
         ),
     )
-    return _check_exit(args, [res])
+    return _check_exit(args, res)
 
 
 def _cmd_consistency(cfg: dict, args) -> int:
-    scn = _build_scenario(cfg)
-    study = StudyConfig(
-        scn,
-        cfg["study.n_list"],
-        cfg["study.replicates"],
-        x0=cfg["study.x0"],
-        seed_base=cfg["seed"],
-        threads=cfg["threads"],
-        tolerances={"hellinger_ratio": cfg["tolerances.hellinger_ratio"]},
-    )
     res = run_consistency_study(
-        study,
+        _study_config(cfg, _build_scenario(cfg)),
         hellinger_ns=tuple(cfg["study.hellinger_ns"]),
         sup_gammas=tuple(cfg["study.sup_gammas"]),
     )
-    out = _out_dir(cfg)
-    _write_text(out / "consistency.csv", res.to_csv_text())
-    _write_manifest(out / "consistency.manifest.json", "consistency", cfg, res.manifest)
-    return _check_exit(args, [res])
+    _write_study(cfg, "consistency", res)
+    return _check_exit(args, res)
 
 
 def _cmd_constants(cfg: dict, args) -> int:
-    grid = _build_grid(cfg)
-    est, se = chernoff_abs_mean(grid, cfg["constants.abs_mean_draws"], cfg["seed"])
-    cov = chernoff_cov_integral(
-        grid,
-        cfg["constants.a_max"],
-        cfg["constants.a_step"],
-        cfg["constants.cov_draws"],
-        cfg["seed"] + 1,
+    grid = _build_grid(cfg, "scaled_chernoff")  # the Chernoff law's window
+    a_max, a_step, cov_draws = (
+        cfg["constants.a_max"], cfg["constants.a_step"], cfg["constants.cov_draws"]
     )
-    out = _out_dir(cfg)
-    rows = [
-        "name,estimate,se",
-        f"chernoff_abs_mean,{_g17(est)},{_g17(se)}",
-        f"cov_integral,{_g17(cov.estimate)},{_g17(cov.se)}",
-    ]
-    _write_text(out / "constants.csv", "\n".join(rows) + "\n")
-    _write_manifest(
-        out / "constants.manifest.json",
-        "constants",
-        cfg,
+    check_cov_integral_args(grid, a_max, a_step, cov_draws)
+    est, se = chernoff_abs_mean(grid, cfg["constants.abs_mean_draws"], cfg["seed"])
+    cov = chernoff_cov_integral(grid, a_max, a_step, cov_draws, cfg["seed"] + 1)
+    res = StudyResult(
+        ("name", "estimate", "se"),
+        [("chernoff_abs_mean", est, se), ("cov_integral", cov.estimate, cov.se)],
+        {},
         {
             "chernoff_abs_mean": est,
             "chernoff_abs_mean_se": se,
@@ -609,6 +559,7 @@ def _cmd_constants(cfg: dict, args) -> int:
             "flags": {"tail_within_2se": abs(cov.tail_cov) <= 2.0 * cov.tail_se},
         },
     )
+    _write_study(cfg, "constants", res)
     return EXIT_OK
 
 
@@ -666,7 +617,6 @@ def main(argv=None) -> int:
             text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config_text(args.command, text)
         cfg = _apply_overrides(args.command, cfg, args)
-        args.given_keys = _given_keys(text, args.set)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -114,7 +114,6 @@ class AuditConfig:
 class StudyResult:
     """Records plus derived summaries and a manifest of pass/fail flags."""
 
-    kind: str
     columns: tuple[str, ...]
     records: list[tuple]
     summary: dict
@@ -305,7 +304,6 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         flags["l1_centering_within_tolerance"] = abs(summary["centering"]["ratio"] - 1.0) <= ctol
 
     return StudyResult(
-        "rate",
         ("gamma", "n", "replicate", "err_pointwise", "err_l1"),
         records,
         summary,
@@ -422,7 +420,6 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
     if cfg.regime == "boundary_pointwise":
         manifest["standardization_c"] = {str(n): c for n in cfg.n_list}
     return StudyResult(
-        "limit_compare",
         ("kind", "n", "gamma", "ks", "draws_finite", "draws_limit"),
         records,
         {"ks": ks_by_n},
@@ -515,7 +512,6 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
         "flags": flags,
     }
     return StudyResult(
-        "lower_bound_audit",
         ("case", "quantity", "value", "budget", "ok"),
         records,
         {"alpha": manifest["alpha"]},
@@ -599,7 +595,6 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
         "flags": flags,
     }
     return StudyResult(
-        "tail_probe",
         ("n", "replicate", "deviation"),
         records,
         {"medians": medians.tolist(), "slope": slope, "slope_se": se},
@@ -688,7 +683,6 @@ def run_consistency_study(
         "flags": flags,
     }
     return StudyResult(
-        "consistency",
         ("check", "gamma", "n", "replicate", "value"),
         records,
         {"hellinger_ratio": ratio, "sup_medians": sup_medians},

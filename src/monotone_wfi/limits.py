@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULT_TWO_SIDED_GRID",
     "DEFAULT_UNIT_GRID",
     "DEFAULT_EDGE_GRID",
+    "LAW_GRIDS",
     "LAW_TAGS",
     "brownian_paths",
     "chernoff_batch",
@@ -46,6 +47,7 @@ __all__ = [
     "boundary_limit_batch",
     "l1_fast_batch",
     "chernoff_abs_mean",
+    "check_cov_integral_args",
     "chernoff_cov_integral",
     "edge_layer_constant",
     "mu_n",
@@ -96,13 +98,15 @@ DEFAULT_TWO_SIDED_GRID = PathGrid(4.0, 0.002, True)
 DEFAULT_UNIT_GRID = PathGrid(1.0, 2e-4, False)
 DEFAULT_EDGE_GRID = PathGrid(6.0, 1e-3, False)
 
-LAW_TAGS = (
-    "scaled_chernoff",
-    "slow_fbeta",
-    "boundary_gbc",
-    "fast_w_slope",
-    "l1_fast_maxA",
-)
+# each law's own window (None: drawn exactly); the order fixes each tag's stream id
+LAW_GRIDS: dict[str, PathGrid | None] = {
+    "scaled_chernoff": DEFAULT_TWO_SIDED_GRID,
+    "slow_fbeta": DEFAULT_TWO_SIDED_GRID,
+    "boundary_gbc": DEFAULT_UNIT_GRID,
+    "fast_w_slope": DEFAULT_UNIT_GRID,
+    "l1_fast_maxA": None,
+}
+LAW_TAGS = tuple(LAW_GRIDS)
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -435,6 +439,18 @@ class CovIntegral:
         return float(self.cov_se[-1])
 
 
+def check_cov_integral_args(grid: PathGrid, a_max: float, a_step: float, m: int) -> None:
+    """Raise before any draw if :func:`chernoff_cov_integral` cannot run on these."""
+    if a_max < 3.0:
+        raise ValueError(f"shift range a_max must be at least 3, got {a_max}")
+    if not 0.0 < a_step <= 0.25:
+        raise ValueError(f"shift step must lie in (0, 0.25], got {a_step}")
+    if not grid.two_sided:
+        raise ValueError("covariance runs need a two-sided grid")
+    if m < 2:
+        raise ValueError(f"the covariance integral needs at least 2 draws for its error, got {m}")
+
+
 def chernoff_cov_integral(
     grid: PathGrid,
     a_max: float,
@@ -450,12 +466,7 @@ def chernoff_cov_integral(
     The window is enlarged internally by ``a_max`` so shifted minimizers
     stay away from the boundary.
     """
-    if a_max < 3.0:
-        raise ValueError("shift range a_max must be at least 3")
-    if not 0.0 < a_step <= 0.25:
-        raise ValueError("shift step must lie in (0, 0.25]")
-    if not grid.two_sided:
-        raise ValueError("covariance runs need a two-sided grid")
+    check_cov_integral_args(grid, a_max, a_step, m)
     rng = _as_rng(seed_or_rng)
     big = PathGrid(grid.half_width + math.ceil(a_max), grid.step, True)
     s = big.points()
@@ -585,8 +596,9 @@ def sample_limit_batch(
     c: float = 0.0,
     grid: PathGrid | None = None,
 ) -> LimitBatch:
-    """Tagged batch of ``m`` draws; ``l1_fast_maxA`` is exact and takes no grid.
+    """Tagged batch of ``m`` draws on ``grid``, by default the law's own window.
 
+    ``l1_fast_maxA`` is exact and takes no grid (:data:`LAW_GRIDS`).
     ``beta`` must equal ``link.beta``.  Every other tag uses ``x0``, which
     must be interior to the feature support.
     """
@@ -598,26 +610,23 @@ def sample_limit_batch(
         raise ValueError(f"flatness order beta={beta} does not match the link's {link.beta}")
     if law_tag != "l1_fast_maxA" and not -law.half_width < x0 < law.half_width:
         raise ValueError(f"x0 must be interior to the feature support, got {x0}")
+    if LAW_GRIDS[law_tag] is None and grid is not None:
+        raise ValueError(f"{law_tag} is drawn exactly and takes no grid")
+    grid = grid or LAW_GRIDS[law_tag]
     rng = stream(seed, LAW_TAGS.index(law_tag))
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":
-        grid = grid or DEFAULT_TWO_SIDED_GRID
         kappa = scaled_chernoff_constant(link, law, x0)
         draws = kappa * chernoff_batch(grid, m, rng)
         params["kappa"] = kappa
     elif law_tag == "slow_fbeta":
-        grid = grid or DEFAULT_TWO_SIDED_GRID
         draws = slow_limit_batch(link, law, x0, grid, m, rng)
     elif law_tag == "boundary_gbc":
-        grid = grid or DEFAULT_UNIT_GRID
         draws = boundary_limit_batch(c, link, law, x0, grid, m, rng)
         params["c"] = c
     elif law_tag == "fast_w_slope":
-        grid = grid or DEFAULT_UNIT_GRID
         draws = boundary_limit_batch(0.0, link, law, x0, grid, m, rng)
     else:  # l1_fast_maxA
-        if grid is not None:
-            raise ValueError("l1_fast_maxA is drawn exactly and takes no grid")
         draws = l1_fast_batch(link, m, rng)
         params.pop("x0")
     params["noise_scale"] = link.noise_scale

@@ -536,9 +536,14 @@ def default_fast_pair_constant() -> float:
     return 0.4
 
 
-def default_slow_pair_constant(law: FeatureLaw) -> float:
+def _slow_pair_cap(law: FeatureLaw) -> float:
+    """Upper limit ``min((4T)^(1/3)/8, (32 sup p)^(-1/3))`` of the slow-pair constant."""
     t = law.half_width
-    return 0.5 * min((4.0 * t) ** (1.0 / 3.0) / 8.0, (32.0 * law.sup_density) ** (-1.0 / 3.0))
+    return min((4.0 * t) ** (1.0 / 3.0) / 8.0, (32.0 * law.sup_density) ** (-1.0 / 3.0))
+
+
+def default_slow_pair_constant(law: FeatureLaw) -> float:
+    return 0.5 * _slow_pair_cap(law)
 
 
 def default_cube_constant(law: FeatureLaw) -> float:
@@ -573,8 +578,7 @@ def build_pointwise_hypotheses(
         upper = PiecewiseAffine(knots, eta + sep + delta * (knots + t))
         return HypothesisPair(upper, lower, "fast", sep, delta, n, C, x0)
 
-    c_max = min((4.0 * t) ** (1.0 / 3.0) / 8.0, (32.0 * law.sup_density) ** (-1.0 / 3.0))
-    if not 0.0 < C < c_max:
+    if not 0.0 < C < _slow_pair_cap(law):
         raise ValueError(
             "slow-case constant violates 0 < C < min((4T)^(1/3)/8, (32 sup p)^(-1/3))"
         )

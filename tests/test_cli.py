@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from monotone_wfi import experiments
+from monotone_wfi import experiments, limits
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -156,7 +156,6 @@ class TestSimulateLimit:
             "--out", str(tmp_path),
             "--set", "limit.law_tag=l1_fast_maxA",
             "--set", "grid.half_width=1.0",
-            "--set", "grid.two_sided=0",
         ])
         assert code == 2
         assert "no grid" in capsys.readouterr().err
@@ -178,9 +177,7 @@ class TestSimulateLimit:
             "--out", str(tmp_path),
             "--set", "limit.law_tag=boundary_gbc",
             "--set", "limit.x0=1.0",
-            "--set", "grid.half_width=1.0",
             "--set", "grid.step=0.002",
-            "--set", "grid.two_sided=0",
         ])
         assert code == 2
         assert "interior" in capsys.readouterr().err
@@ -211,8 +208,8 @@ class TestSimulateLimit:
     @pytest.mark.parametrize(
         "tag, key", [("l1_fast_maxA", "grid.step=0.002"), ("fast_w_slope", "grid.half_width=4.0")]
     )
-    def test_grid_key_at_its_default_counts_as_given(self, tmp_path, capsys, tag, key):
-        # the values equal the schema defaults, but they were given
+    def test_grid_key_the_law_cannot_take_exits_2(self, tmp_path, capsys, tag, key):
+        # an exact law takes no grid; the boundary laws live on [0, 1]
         code = main([
             "simulate-limit", "--out", str(tmp_path),
             "--set", f"limit.law_tag={tag}", "--set", key,
@@ -222,15 +219,32 @@ class TestSimulateLimit:
         assert not (tmp_path / "limit_batch.csv").exists()
 
     def test_grid_keys_from_config_file(self, tmp_path):
-        # a config file gives keys too; the command defaults fill the rest
+        # a config file sets keys too; the law's own window fills the rest,
+        # and "none" restores the law's own value
         cfg = tmp_path / "cfg"
-        _write(cfg, "limit.law_tag = fast_w_slope\ngrid.half_width = 1.0  # unit\n")
+        _write(cfg, "limit.law_tag = fast_w_slope\ngrid.step = 0.002  # coarse\n")
         assert main(["simulate-limit", "--config", str(cfg), "--out", str(tmp_path / "a"),
-                     "--set", "grid.two_sided=0", "--set", "limit.draws=5"]) == 0
+                     "--set", "limit.draws=5"]) == 0
         meta = json.loads(_read(tmp_path / "a" / "limit_batch.meta.json"))
         assert meta["grid"] == {"half_width": 1.0, "step": 0.002, "two_sided": False}
         assert main(["simulate-limit", "--config", str(cfg), "--out", str(tmp_path / "b"),
-                     "--set", "limit.draws=5"]) == 2
+                     "--set", "limit.draws=5", "--set", "grid.step=none"]) == 0
+        meta = json.loads(_read(tmp_path / "b" / "limit_batch.meta.json"))
+        assert meta["grid"] == {"half_width": 1.0, "step": 0.0002, "two_sided": False}
+
+    def test_step_alone_keeps_the_law_window(self, tmp_path):
+        # the half-width and sidedness that are not set come from the law itself
+        assert main(["simulate-limit", "--out", str(tmp_path), "--set", "limit.draws=5",
+                     "--set", "limit.law_tag=fast_w_slope", "--set", "grid.step=0.001"]) == 0
+        meta = json.loads(_read(tmp_path / "limit_batch.meta.json"))
+        assert meta["grid"] == {"half_width": 1.0, "step": 0.001, "two_sided": False}
+
+    @pytest.mark.parametrize("command", ["simulate-limit", "constants"])
+    def test_two_sided_is_not_a_key(self, tmp_path, capsys, command):
+        # each law has exactly one valid sidedness, so there is no key for it
+        assert main([command, "--out", str(tmp_path), "--set", "grid.two_sided=1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'grid.two_sided'" in err and len(err.strip().splitlines()) == 1
 
     def test_unknown_tag(self, tmp_path, capsys):
         code = main([
@@ -240,23 +254,29 @@ class TestSimulateLimit:
 
 
 class TestStudyCommands:
-    def test_rate_study_files_and_manifest(self, tmp_path):
+    @pytest.mark.parametrize("gammas", ["0.8", "0.8,0.25"])
+    def test_rate_study_files_and_manifest(self, tmp_path, gammas):
         out = tmp_path / "rate"
         args = [
             "rate-study",
             "--out", str(out),
             "--seed", "7",
-            "--set", "study.gammas=0.8",
+            "--set", f"study.gammas={gammas}",
             "--set", "study.n_list=64,128,256",
             "--set", "study.replicates=50",
         ]
         assert main(args) == 0
-        csv_text = _read(out / "rate_study.csv")
-        assert csv_text.splitlines()[0] == "gamma,n,replicate,err_pointwise,err_l1"
-        assert len(csv_text.splitlines()) == 1 + 3 * 50
+        lines = _read(out / "rate_study.csv").splitlines()
+        assert lines[0] == "gamma,n,replicate,err_pointwise,err_l1"
+        order = [float(g) for g in gammas.split(",")]
+        assert len(lines) == 1 + len(order) * 3 * 50
+        # one block of rows per gamma, in the configured order
+        assert [float(row.split(",")[0]) for row in lines[1:]] == [g for g in order
+                                                                   for _ in range(150)]
         manifest = json.loads(_read(out / "rate_study.manifest.json"))
-        per_gamma = manifest["per_gamma"]["0.8"]
-        assert per_gamma["target_slope"] == -0.5
+        assert sorted(manifest["per_gamma"]) == sorted(repr(g) for g in order)
+        assert manifest["per_gamma"]["0.8"]["target_slope"] == -0.5
+        assert len(manifest["flags"]) == len(order)
         svg = _read(out / "rate_study.pointwise.svg")
         assert svg.startswith("<svg")
         assert "slope" in svg
@@ -369,6 +389,34 @@ class TestStudyInputChecks:
         assert "at least 3 sample sizes" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "tail_probe.manifest.json").exists()
 
+    @pytest.mark.parametrize("gammas", ["", "0.25,-1", "0.8,0.25,0.8"])
+    def test_bad_gamma_list_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch, gammas):
+        # empty, negative (checked only after the first gamma's replicates)
+        # and repeated gammas (which collide in the manifest keys)
+        monkeypatch.setattr(experiments, "draw_sample", _no_draws)
+        code = main([
+            "rate-study", "--out", str(tmp_path), "--set", f"study.gammas={gammas}",
+            "--set", "study.n_list=64,128,256", "--set", "study.replicates=50",
+        ])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "rate_study.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key", ["constants.cov_draws=0", "constants.a_max=2.5", "constants.a_step=0.3",
+                "constants.a_step=0"]
+    )
+    def test_bad_constants_input_exits_2_before_any_path(self, tmp_path, capsys, monkeypatch,
+                                                         key):
+        def no_paths(*args):
+            raise AssertionError("a path was drawn before the input check")
+
+        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        code = main(["constants", "--out", str(tmp_path), "--set", key])
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "constants.csv").exists()
+
     def test_limit_compare_exterior_x0_exits_2(self, tmp_path, capsys):
         code = main([
             "limit-compare", "--out", str(tmp_path),
@@ -426,6 +474,28 @@ def test_every_json_output_is_strict(tmp_path, command):
     assert written
     for path in written:
         json.loads(_read(path), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("command", ["limit-compare", "tail-probe", "consistency"])
+def test_records_identical_across_threads(tmp_path, monkeypatch, command):
+    # the thread count reaches every study through the shared config builder
+    pools = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    stem = command.replace("-", "_")
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main([command, "--out", str(out), "--threads", threads,
+                     *SMOKE_RUNS[command]]) == 0
+        texts.append(_read(out / f"{stem}.csv"))
+    assert pools == [2]
+    assert texts[0] == texts[1]
 
 
 def test_smoke_runs_cover_every_command():
