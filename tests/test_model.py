@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monotone_wfi.metrics import QuadratureCfg, adaptive_simpson
 from monotone_wfi.model import (
@@ -174,10 +177,69 @@ class TestFeatureLaws:
             UNIFORM.quantile(1.5)
         with pytest.raises(ValueError):
             POLY.quantile(-0.1)
+        for law in (UNIFORM, POLY):
+            with pytest.raises(ValueError, match="quantile argument"):
+                law.quantile(np.array([0.5, np.nan]))
 
     def test_sup_density(self):
         assert UNIFORM.sup_density == 0.5
         assert POLY.sup_density == pytest.approx(1.0)
+
+    def test_uniform_law_has_no_tilt(self):
+        stray = FeatureLaw("uniform", 1.0, (0.5,))
+        assert stray.tilt == 0.0
+        assert stray.density(0.9) == 0.5
+        assert stray.quantile(0.75) == 0.5
+
+
+QUANTILE_LAWS = [(1.0, 0.5), (2.0, 0.8), (1.5, 0.3), (1.0, 0.999), (1.0, 1e-9)]
+
+
+def _exact_cdf(law, x):
+    t, th, x = Fraction(law.half_width), Fraction(law.tilt), Fraction(x)
+    return (1 - th) * (x + t) / (2 * t) + th * (x**3 + t**3) / (2 * t**3)
+
+
+class TestClosedFormQuantile:
+    @pytest.mark.parametrize("half_width, tilt", QUANTILE_LAWS)
+    def test_backward_error_within_two_eps(self, half_width, tilt):
+        law = FeatureLaw("polynomial", half_width, (tilt,))
+        u = np.random.default_rng(20260808).random(4000)
+        s = np.concatenate([u, np.linspace(0.0, 1.0, 201), [1e-300, 1.0 - 2.0**-53]])
+        x = law.quantile(s)
+        assert np.all(np.abs(x) <= half_width)
+        worst = max(abs(_exact_cdf(law, xi) - Fraction(si)) for xi, si in zip(x, s))
+        assert worst <= 2 * Fraction(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("half_width, tilt", QUANTILE_LAWS)
+    def test_edge_values(self, half_width, tilt):
+        law = FeatureLaw("polynomial", half_width, (tilt,))
+        lo, mid, hi = law.quantile(np.array([0.0, 0.5, 1.0]))
+        assert (lo, hi) == (-half_width, half_width)
+        assert mid == 0.0 and math.copysign(1.0, mid) == 1.0  # +0.0, never -0.0
+        assert law.quantile(0.0) == -half_width and law.quantile(1.0) == half_width
+        assert isinstance(law.quantile(0.25), float)
+
+    def test_one_cdf_call_per_array_call(self, monkeypatch):
+        calls = []
+        plain = FeatureLaw.cdf
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return plain(self, x)
+
+        monkeypatch.setattr(FeatureLaw, "cdf", counted)
+        POLY.quantile(np.random.default_rng(1).random(4096))
+        assert calls == [4096]
+        calls.clear()
+        UNIFORM.quantile(np.linspace(0.0, 1.0, 11))
+        FeatureLaw("polynomial", 1.0, (0.0,)).quantile(np.linspace(0.0, 1.0, 11))
+        assert calls == []
+
+    def test_tilt_zero_takes_the_uniform_line(self):
+        s = np.random.default_rng(3).random(257)
+        flat = FeatureLaw("polynomial", 1.5, (0.0,))
+        assert flat.quantile(s).tobytes() == FeatureLaw("uniform", 1.5).quantile(s).tobytes()
 
 
 class TestScenario:
@@ -233,6 +295,49 @@ class TestSample:
         agg = Sample.from_draws([1.0, 1.0], [0, 1])
         with pytest.raises(ValueError):
             agg.ys
+
+
+def _unique_reference(xs, ys):
+    """Sort, merge equal features with np.unique, count ones per block."""
+    uniq, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    return uniq, np.bincount(inverse, weights=ys, minlength=uniq.size).astype(np.int64), counts
+
+
+@st.composite
+def _draws(draw):
+    """Raw draws: ties (small pools), unit weights (large pools), single draws."""
+    n = draw(st.integers(1, 60))
+    pool = draw(st.integers(0, 100))
+    xs = draw(st.lists(st.integers(-pool, pool), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    return np.array(xs, dtype=float) / 4.0 * np.array(signs), np.array(ys)  # signed zeros too
+
+
+class TestFromDrawsProperty:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_draws())
+    @example((np.array([0.5]), np.array([1])))
+    @example((np.arange(5.0), np.array([0, 1, 1, 0, 1])))
+    @example((np.full(7, 2.0), np.array([1, 0, 1, 1, 0, 0, 1])))
+    def test_matches_unique_reference(self, draws):
+        xs, ys = draws
+        s = Sample.from_draws(xs, ys)
+        uniq, ones, counts = _unique_reference(xs, ys)
+        assert s.xs.tobytes() == (uniq + 0.0).tobytes()
+        assert np.array_equal(s.ones, ones) and np.array_equal(s.weights, counts)
+
+    def test_zero_block_is_positive_zero(self):
+        s = Sample.from_draws([-0.0, 0.0, 1.0, -0.0], [1, 0, 1, 1])
+        assert np.array_equal(s.xs, [0.0, 1.0]) and not np.signbit(s.xs[0])
+        assert np.array_equal(s.ones, [2, 1]) and np.array_equal(s.weights, [3, 1])
+
+    def test_labels_checked_for_every_dtype(self):
+        assert Sample.from_draws([1.0, 2.0], np.array([True, False])).ones.tolist() == [1, 0]
+        assert Sample.from_draws([1.0, 2.0], [1.0, 0.0]).ones.tolist() == [1, 0]
+        for bad in ([0.5, 1.0], [0, 2], [0, -1], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="labels"):
+                Sample.from_draws([1.0, 2.0], bad)
 
 
 class TestSampling:
