@@ -28,6 +28,7 @@ from .experiments import (
     AuditConfig,
     StudyConfig,
     StudyResult,
+    check_rate_study,
     run_consistency_study,
     run_limit_comparison,
     run_lower_bound_audit,
@@ -414,6 +415,8 @@ def _cmd_rate_study(cfg: dict, args) -> int:
         )
         for gamma in gammas
     ]
+    for study in studies:
+        check_rate_study(study)
     results = [run_rate_study(study) for study in studies]
     res = StudyResult(
         results[0].columns,

@@ -29,8 +29,6 @@ from .model import (
     default_slow_pair_constant,
     draw_sample,
     in_slope_band,
-    link_inverse,
-    phi_n,
 )
 from .streams import stream
 
@@ -40,6 +38,7 @@ __all__ = [
     "StudyResult",
     "fit_loglog_slope",
     "expected_rate_slope",
+    "check_rate_study",
     "run_rate_study",
     "run_limit_comparison",
     "run_lower_bound_audit",
@@ -194,7 +193,7 @@ def expected_rate_slope(gamma: float, beta: int = 1) -> float:
 def _rate_chunk(scn: Scenario, x0: float, seed_base: int, n: int, reps: np.ndarray):
     t = scn.law.half_width
     phi = scn.phi_fn(n)
-    target = phi_n(scn, n, x0)
+    target = phi(x0)
     gcode = _gamma_code(scn.impact_exponent)
     out = []
     for r in reps:
@@ -204,6 +203,21 @@ def _rate_chunk(scn: Scenario, x0: float, seed_base: int, n: int, reps: np.ndarr
         err_l1 = l1_error(fit, phi, "lebesgue", interval=(-t, t))
         out.append((int(n), int(r), err_pw, err_l1))
     return out
+
+
+def check_rate_study(cfg: StudyConfig) -> None:
+    """Raise before any draw if :func:`run_rate_study` cannot run on ``cfg``."""
+    if len(cfg.n_list) < 3:
+        raise ValueError(
+            f"rate study needs at least 3 sample sizes for its slope fits, got {len(cfg.n_list)}"
+        )
+    if 0 < cfg.centering_draws < 10_000:
+        raise ValueError(
+            f"centering needs 0 (off) or at least 10000 draws, got {cfg.centering_draws}"
+        )
+    scn = cfg.scenario
+    if 1.0 - 2.0 * scn.beta * scn.impact_exponent > 0.0:  # slow regime
+        limits.check_slow_pointwise(scn.link, cfg.x0)
 
 
 def run_rate_study(cfg: StudyConfig) -> StudyResult:
@@ -216,14 +230,7 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
     boundary layer); the decomposition goes into the summary and the
     manifest.
     """
-    if len(cfg.n_list) < 3:
-        raise ValueError(
-            f"rate study needs at least 3 sample sizes for its slope fits, got {len(cfg.n_list)}"
-        )
-    if 0 < cfg.centering_draws < 10_000:
-        raise ValueError(
-            f"centering needs 0 (off) or at least 10000 draws, got {cfg.centering_draws}"
-        )
+    check_rate_study(cfg)
     scn = cfg.scenario
     gamma = scn.impact_exponent
     records = _replicates(_rate_chunk, [(scn, cfg.x0, cfg.seed_base, n) for n in cfg.n_list], cfg)
@@ -281,7 +288,7 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
             cfg.centering_draws,
             stream(cfg.seed_base, _EXP_CONSTANTS, 2),
         )
-        first = limits.mu_n(scn, n_big, abs_mean, QuadratureCfg(1e-9, 48))
+        first = limits.mu_n(scn, n_big, abs_mean, QuadratureCfg(1e-9))
         layer = limits.boundary_term(scn, n_big, edge)
         t = scn.law.half_width
         rate = (n_big / scn.delta(n_big)) ** (1.0 / 3.0)
@@ -321,7 +328,7 @@ def _limit_stat_chunk(
     gcode = _gamma_code(scn.impact_exponent)
     delta = scn.delta(n)
     phi = scn.phi_fn(n)
-    target = phi_n(scn, n, x0)
+    target = phi(x0)
     out = []
     for r in reps:
         rng = stream(seed_base, _EXP_LIMIT, gcode, n, int(r))
@@ -443,7 +450,7 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
     """
     law = cfg.law
     sup_p = law.sup_density
-    q = QuadratureCfg(cfg.quad_tol, 48)
+    q = QuadratureCfg(cfg.quad_tol)
     c_fast = default_fast_pair_constant() if cfg.c_fast is None else cfg.c_fast
     c_slow = default_slow_pair_constant(law) if cfg.c_slow is None else cfg.c_slow
     c_cube = default_cube_constant(law) if cfg.c_cube is None else cfg.c_cube
@@ -526,9 +533,9 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
 
 def _tail_chunk(scn: Scenario, x0: float, seed_base: int, n: int, reps: np.ndarray):
     gcode = _gamma_code(scn.impact_exponent)
-    delta = scn.delta(n)
-    a = phi_n(scn, n, x0)
-    lam_inv = float(scn.law.cdf(link_inverse(scn.link, a) / delta))
+    phi = scn.phi_fn(n)
+    a = phi(x0)
+    lam_inv = float(scn.law.cdf(phi.inverse(a)))
     out = []
     for r in reps:
         rng = stream(seed_base, _EXP_TAIL, gcode, n, int(r))
@@ -618,7 +625,7 @@ def _consistency_chunk(
         rng = stream(seed_base, _EXP_CONSISTENCY, sub, gcode, n, int(r))
         fit = npmle_fit(draw_sample(scn, n, rng))
         if check == "hellinger":
-            val = hellinger(fit, phi, scn.law, QuadratureCfg(1e-8, 48))
+            val = hellinger(fit, phi, scn.law, QuadratureCfg(1e-8))
         else:
             val = sup_norm_on(fit, phi, (-t / 2.0, t / 2.0))
         out.append((check, scn.impact_exponent, int(n), int(r), float(val)))

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import isotonic_regression
 
-from .metrics import QuadratureCfg, adaptive_simpson
+from .metrics import QuadratureCfg, _gl_checked, _split_points
 from .model import FeatureLaw, LinkSpec, Scenario, link_eval, link_slope
 from .streams import stream
 
@@ -43,6 +43,7 @@ __all__ = [
     "argmin_quadratic_batch",
     "scaled_chernoff_constant",
     "slow_limit_batch",
+    "check_slow_pointwise",
     "boundary_drift",
     "boundary_limit_batch",
     "l1_fast_batch",
@@ -240,12 +241,22 @@ def _gcm_slope_batch(
     return out, touched
 
 
+def check_slow_pointwise(link: LinkSpec, x0: float) -> None:
+    """Raise unless the slow pointwise law holds: its drift expands the link at 0."""
+    if link.beta > 1 and x0 != 0.0:
+        raise ValueError(
+            f"the slow-regime pointwise law for flatness order beta = {link.beta} "
+            f"is derived at x0 = 0 only, got x0 = {x0}"
+        )
+
+
 def _slow_drift_coeff(link: LinkSpec, law: FeatureLaw, x0: float) -> float:
-    d_beta = link.leading_derivative
-    if d_beta <= 0:
-        raise ValueError("leading link derivative at 0 must be strictly positive")
+    check_slow_pointwise(link, x0)
+    coef = link.taylor_coefficient
+    if coef <= 0:
+        raise ValueError("leading Taylor coefficient of the link at 0 must be strictly positive")
     p0 = float(law.density(x0))
-    return d_beta / (p0**link.beta * math.factorial(link.beta + 1))
+    return coef / (p0**link.beta * (link.beta + 1))
 
 
 def slow_limit_batch(
@@ -279,11 +290,10 @@ def slow_limit_batch(
     )
 
 
-def _chernoff_scale(link: LinkSpec, law: FeatureLaw, u: float, x: float) -> float:
-    """``(4 phi0(u) (1 - phi0(u)) phi0'(u) / density(x))^(1/3)``."""
-    p = float(link_eval(link, u))
-    slope = link_slope(link, u)
-    return (4.0 * p * (1.0 - p) * slope / float(law.density(x))) ** (1.0 / 3.0)
+def _chernoff_scale(link: LinkSpec, law: FeatureLaw, u, x):
+    """``(4 phi0(u) (1 - phi0(u)) phi0'(u) / density(x))^(1/3)``, scalar or array."""
+    p = link_eval(link, u)
+    return (4.0 * p * (1.0 - p) * link_slope(link, u) / law.density(x)) ** (1.0 / 3.0)
 
 
 def scaled_chernoff_constant(link: LinkSpec, law: FeatureLaw, x0: float) -> float:
@@ -306,16 +316,18 @@ def boundary_drift(
 ) -> float | np.ndarray:
     """Drift of the boundary-case limit process at times ``s`` in [0, 1].
 
-    ``sqrt(c) * d_beta * E[(X - x0)^beta 1{X <= quantile(s)}]``, with
-    ``beta = link.beta`` and ``d_beta = link.leading_derivative``, from the
-    exact antiderivative (vanishing at ``-T``) of the polynomial
-    ``(x - x0)^beta density(x)``.  A scalar ``s`` gives a float.
+    ``sqrt(c) * coef * E[(X^beta - x0^beta) 1{X <= quantile(s)}]``, with
+    ``beta = link.beta`` and ``coef = link.taylor_coefficient``: near 0,
+    ``phi_n(x) - phi_n(x0) = coef delta_n^beta (x^beta - x0^beta)`` to leading
+    order.  From the exact antiderivative (vanishing at ``-T``) of the
+    polynomial ``(x^beta - x0^beta) density(x)``.  A scalar ``s`` gives a float.
     """
     if c < 0:
         raise ValueError("boundary constant c must be nonnegative")
-    integrand = Polynomial([-x0, 1.0]) ** link.beta * Polynomial(law.density_coeffs)
+    power = np.r_[-(x0**link.beta), np.zeros(link.beta - 1), 1.0]
+    integrand = Polynomial(power) * Polynomial(law.density_coeffs)
     antiderivative = integrand.integ(lbnd=-law.half_width)
-    out = math.sqrt(c) * link.leading_derivative * antiderivative(law.quantile(s))
+    out = math.sqrt(c) * link.taylor_coefficient * antiderivative(law.quantile(s))
     return float(out) if np.isscalar(s) else out
 
 
@@ -518,16 +530,16 @@ def mu_n(
     ``E|X(0)|`` times the integral over the support of the local Chernoff
     scale ``kappa_n(t) = (4 phi_n (1 - phi_n) phi0'(delta_n t) / density(t))^(1/3)``.
     It leaves out the support-boundary layer (:func:`boundary_term`),
-    which is of relative order ``(n delta_n^2)^(-1/3)``.
+    which is of relative order ``(n delta_n^2)^(-1/3)``.  The integral is
+    checked piecewise Gauss-Legendre, split at the affine link's kinks.
     """
     if link_slope(scn.link, 0.0) <= 0:
         raise ValueError("centering needs a strictly positive link slope at 0")
-    q = q or QuadratureCfg(1e-10, 48)
     t = scn.law.half_width
     delta = scn.delta(n)
-    return chernoff_abs_mean_value * adaptive_simpson(
-        lambda x: _chernoff_scale(scn.link, scn.law, delta * x, x), -t, t, q
-    )
+    edges = _split_points(-t, t, scn.phi_fn(n))
+    kappa = lambda x: _chernoff_scale(scn.link, scn.law, delta * x, x)
+    return chernoff_abs_mean_value * _gl_checked(kappa, edges, q or QuadratureCfg())
 
 
 def local_width(scn: Scenario, n: int, x: float) -> float:

@@ -11,7 +11,6 @@ from .model import FeatureLaw, Sample
 __all__ = [
     "QuadratureCfg",
     "QuadratureError",
-    "adaptive_simpson",
     "hellinger",
     "l1_error",
     "sup_norm_on",
@@ -20,102 +19,77 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its tolerance at max depth."""
+    """A Gauss-Legendre sum missed its tolerance: the integrand is not smooth on a piece."""
 
 
 @dataclass(frozen=True)
 class QuadratureCfg:
+    """Bound on the Gauss-Legendre error estimate (32 nodes against two 16-node halves)."""
+
     abs_tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:
             raise ValueError("quadrature tolerance must be positive")
-        if self.max_depth < 10:
-            raise ValueError("quadrature max depth must be at least 10")
 
 
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = f(0.5 * (a + m))
-    rm = f(0.5 * (m + b))
-    left = (m - a) / 6.0 * (fa + 4.0 * lm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * rm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
+_GL_RULES = {k: np.polynomial.legendre.leggauss(k) for k in (16, 32)}
+
+
+def _gl_integrate(fn, a: np.ndarray, b: np.ndarray, order: int = 32) -> np.ndarray:
+    """Vectorized fixed-order Gauss-Legendre over a batch of intervals."""
+    nodes, weights = _GL_RULES[order]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid[:, None] + half[:, None] * nodes[None, :]
+    return half * (fn(x) * weights[None, :]).sum(axis=1)
+
+
+def _gl_checked(fn, edges: np.ndarray, q: QuadratureCfg) -> float:
+    """32-node Gauss-Legendre sum over the pieces between ``edges``.
+
+    Its error estimate, the distance to two 16-node halves summed over the
+    pieces, must be at most ``q.abs_tol``; otherwise :class:`QuadratureError`.
+    """
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    whole = _gl_integrate(fn, a, b)
+    halves = _gl_integrate(fn, a, mid, 16) + _gl_integrate(fn, mid, b, 16)
+    err = float(np.abs(whole - halves).sum())
+    if err > q.abs_tol:
         raise QuadratureError(
-            f"adaptive Simpson did not converge on [{a!r}, {b!r}] at max depth"
+            f"Gauss-Legendre error estimate {err:.3g} exceeds the tolerance {q.abs_tol:.3g} "
+            f"on [{float(edges[0])!r}, {float(edges[-1])!r}]: the integrand is not smooth "
+            "between the breakpoints"
         )
-    half = 0.5 * tol
-    return _simpson_rec(f, a, m, fa, lm, fm, left, half, depth - 1) + _simpson_rec(
-        f, m, b, fm, rm, fb, right, half, depth - 1
-    )
-
-
-def adaptive_simpson(f, a: float, b: float, cfg: QuadratureCfg | None = None) -> float:
-    """Integral of a scalar function over [a, b] to absolute tolerance."""
-    cfg = cfg or QuadratureCfg()
-    if b <= a:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, cfg.abs_tol, cfg.max_depth)
+    return float(whole.sum())
 
 
 def _split_points(lo: float, hi: float, *fns) -> np.ndarray:
-    pts = [np.array([lo, hi])]
-    for f in fns:
-        bp = getattr(f, "breakpoints", None)
-        if bp is not None:
-            bp = np.asarray(bp, dtype=float)
-            pts.append(bp[(bp > lo) & (bp < hi)])
-    return np.unique(np.concatenate(pts))
+    """``lo``, ``hi`` and the ``breakpoints`` the curves expose between them, sorted."""
+    pts = np.concatenate([[lo, hi], *(getattr(f, "breakpoints", ()) for f in fns)])
+    return np.unique(pts[(pts >= lo) & (pts <= hi)])
 
 
 def hellinger(f, g, law: FeatureLaw, q: QuadratureCfg | None = None) -> float:
     """Root half-integrated squared difference of sqrt-probabilities.
 
     ``d(f, g)^2 = (1/2) int [(sqrt(1-f)-sqrt(1-g))^2 + (sqrt f - sqrt g)^2] dP_X``.
-    The integration interval is split at any jumps or kinks the curves
-    expose, so the adaptive rule only ever sees smooth pieces.
+    ``f`` and ``g`` take arrays.  The support is split at the jumps and
+    kinks the curves expose as ``breakpoints``, and each piece gets the
+    checked 32-node Gauss-Legendre rule of :func:`_gl_checked`, whose
+    nodes are strictly inside the piece.
     """
-    q = q or QuadratureCfg()
     t = law.half_width
 
-    def integrand(x: float) -> float:
-        fv = min(max(float(f(x)), 0.0), 1.0)
-        gv = min(max(float(g(x)), 0.0), 1.0)
-        h2 = (np.sqrt(1.0 - fv) - np.sqrt(1.0 - gv)) ** 2 + (
-            np.sqrt(fv) - np.sqrt(gv)
-        ) ** 2
-        return 0.5 * h2 * float(law.density(x))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        fv = np.clip(f(x), 0.0, 1.0)
+        gv = np.clip(g(x), 0.0, 1.0)
+        h2 = (np.sqrt(1.0 - fv) - np.sqrt(1.0 - gv)) ** 2 + (np.sqrt(fv) - np.sqrt(gv)) ** 2
+        return 0.5 * h2 * law.density(x)
 
-    edges = _split_points(-t, t, f, g)
-    tol = QuadratureCfg(q.abs_tol / max(len(edges) - 1, 1), q.max_depth)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        a = float(a)
-        b = float(b)
-        # evaluate with endpoints nudged inward so jumps sitting exactly on
-        # a piece edge cannot leak the wrong one-sided value into the rule
-        lo_in = np.nextafter(a, b)
-        hi_in = np.nextafter(b, a)
-        piece = lambda x: integrand(min(max(x, lo_in), hi_in))
-        total += adaptive_simpson(piece, a, b, tol)
+    total = _gl_checked(integrand, _split_points(-t, t, f, g), q or QuadratureCfg())
     return float(np.sqrt(max(total, 0.0)))
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _gl_integrate(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized fixed-order Gauss-Legendre over a batch of intervals."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return half * (fn(x) * _GL_WEIGHTS[None, :]).sum(axis=1)
 
 
 def l1_error(
@@ -124,37 +98,30 @@ def l1_error(
     measure: str,
     *,
     interval: tuple[float, float] | None = None,
-    law: FeatureLaw | None = None,
     sample: Sample | None = None,
-    crossing_tol: float = 1e-12,
 ) -> float:
     """Integrated absolute error of a step estimate against a monotone target.
 
     measure
-        ``lebesgue`` integrates over ``interval`` (defaulting to the law's
-        support when a law is given); ``feature_law`` weights by the
-        feature density; ``empirical`` averages over a sample's points
-        with their weights.
+        ``lebesgue`` integrates over ``interval``; ``empirical`` averages
+        over a sample's points with their weights.
 
-    The integration is exact up to quadrature precision: on every
-    constancy interval of the step function the unique crossing of the
-    monotone target with the step level is located by bisection, and the
-    two sign-constant sub-pieces are integrated by high-order
-    Gauss-Legendre (the interval is also split at any target kinks).
+    The interval is split at the jumps of the step and any kinks of the
+    target.  On a piece where the target starts below the step level and
+    ends above it, the crossing is ``target.inverse(level)`` clipped to the
+    piece (a :class:`~monotone_wfi.model.LinkCurve` inverts in closed
+    form); every other piece keeps one sign.  The sign-constant sub-pieces
+    are integrated by 32-node Gauss-Legendre.
     """
     if measure == "empirical":
         if sample is None:
             raise ValueError("empirical measure needs a sample")
         devs = np.abs(np.asarray(step(sample.xs)) - np.asarray(target(sample.xs)))
         return float((devs * sample.weights).sum() / sample.n)
-    if measure not in ("lebesgue", "feature_law"):
+    if measure != "lebesgue":
         raise ValueError(f"unknown measure {measure!r}")
-    if measure == "feature_law" and law is None:
-        raise ValueError("feature_law measure needs a law")
     if interval is None:
-        if law is None:
-            raise ValueError("lebesgue measure needs an interval")
-        interval = (-law.half_width, law.half_width)
+        raise ValueError("lebesgue measure needs an interval")
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         return 0.0
@@ -163,32 +130,16 @@ def l1_error(
     a = edges[:-1]
     b = edges[1:]
     levels = np.asarray(step(a), dtype=float)
-
     ta = np.asarray(target(a), dtype=float)
-    tb = np.asarray(target(b), dtype=float)
-    c = np.where(ta >= levels, a, np.where(tb <= levels, b, np.nan))
-    open_mask = np.isnan(c)
-    if open_mask.any():
-        clo = a[open_mask].copy()
-        chi = b[open_mask].copy()
-        lv = levels[open_mask]
-        span = float(np.max(chi - clo))
-        iters = max(int(np.ceil(np.log2(span / crossing_tol))) + 2, 4)
-        for _ in range(iters):
-            mid = 0.5 * (clo + chi)
-            below = np.asarray(target(mid), dtype=float) < lv
-            clo = np.where(below, mid, clo)
-            chi = np.where(below, chi, mid)
-        c[open_mask] = 0.5 * (clo + chi)
-
-    if measure == "lebesgue":
-        weight = lambda x: np.ones_like(x)
-    else:
-        weight = law.density
+    # the left limit at b: a target jump at b belongs to the next piece
+    tb = np.asarray(target(np.nextafter(b, a)), dtype=float)
+    c = np.where(ta >= levels, a, b)
+    is_open = (ta < levels) & (tb > levels)
+    if is_open.any():
+        c[is_open] = np.clip(target.inverse(levels[is_open]), a[is_open], b[is_open])
 
     def gap(x):
-        lev = np.broadcast_to(levels[:, None], x.shape)
-        return np.abs(lev - np.asarray(target(x))) * weight(x)
+        return np.abs(levels[:, None] - np.asarray(target(x)))
 
     return float(np.sum(_gl_integrate(gap, a, c) + _gl_integrate(gap, c, b)))
 

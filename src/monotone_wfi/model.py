@@ -15,16 +15,17 @@ continuity ratio at least ``delta / 2``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfinv, logit
 
 from .streams import stream
 
 __all__ = [
     "LinkSpec",
+    "LinkCurve",
     "FeatureLaw",
     "Scenario",
     "Sample",
@@ -110,14 +111,14 @@ class LinkSpec:
         return float(link_eval(self, 0.0))
 
     @property
-    def leading_derivative(self) -> float:
-        """``phi0^(beta)(0)``, the derivative of order ``beta`` at 0.
+    def taylor_coefficient(self) -> float:
+        """``phi0^(beta)(0) / beta!``, so ``phi0(u) = phi0(0) + coef u^beta + o(u^beta)``.
 
-        ``beta!/4`` for ``beta_flat`` (logistic of ``u**beta`` is
+        1/4 for ``beta_flat`` (logistic of ``u**beta`` is
         ``1/2 + u**beta/4 + O(u**(3 beta))``), the slope at 0 otherwise.
         """
         if self.kind == "beta_flat":
-            return math.factorial(self.beta) / 4.0
+            return 0.25
         return link_slope(self, 0.0)
 
     @property
@@ -157,41 +158,78 @@ def link_eval(link: LinkSpec, u) -> np.ndarray | float:
     return float(out) if scalar else out
 
 
-def link_slope(link: LinkSpec, u: float) -> float:
-    """First derivative ``phi0'(u)`` of the link, in closed form."""
+def link_slope(link: LinkSpec, u) -> np.ndarray | float:
+    """First derivative ``phi0'(u)`` of the link (scalar or array), in closed form."""
+    scalar = np.isscalar(u)
+    u = np.asarray(u, dtype=float)
     if link.kind == "logistic":
-        lam = float(_logistic(u))
-        return lam * (1.0 - lam)
-    if link.kind == "probit":
+        lam = _logistic(u)
+        out = lam * (1.0 - lam)
+    elif link.kind == "probit":
         scale = link.params[0] if link.params else 1.0
-        v = float(u) / scale
-        return math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) / scale
-    if link.kind == "affine":
+        v = u / scale
+        out = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) / scale
+    elif link.kind == "affine":
         a, b = link.params
-        return b if 0.0 < a + b * u < 1.0 else 0.0
-    if link.kind == "beta_flat":
+        out = np.where((0.0 < a + b * u) & (a + b * u < 1.0), b, 0.0)
+    elif link.kind == "beta_flat":
         beta = link.beta
-        lam = float(_logistic(u**beta))
-        return beta * u ** (beta - 1) * lam * (1.0 - lam)
-    return 0.0  # constant
+        lam = _logistic(u**beta)
+        out = beta * u ** (beta - 1) * lam * (1.0 - lam)
+    else:  # constant
+        out = np.zeros_like(u)
+    return float(out) if scalar else out
 
 
-def link_inverse(link: LinkSpec, p: float) -> float:
-    """Inverse of the link at probability ``p`` (strictly inside its range)."""
+def link_inverse(link: LinkSpec, p) -> np.ndarray | float:
+    """Inverse of the link at probabilities ``p`` in [0, 1] (scalar or array).
+
+    Gives -inf and inf at 0 and 1 for the links that never reach them;
+    the affine link gives its clip points there.  The constant link has
+    no inverse.
+    """
+    scalar = np.isscalar(p)
+    p = np.asarray(p, dtype=float)
     if link.kind == "logistic":
-        return math.log(p / (1.0 - p))
-    if link.kind == "probit":
-        from scipy.special import erfinv
-
+        out = logit(p)
+    elif link.kind == "probit":
         scale = link.params[0] if link.params else 1.0
-        return scale * math.sqrt(2.0) * float(erfinv(2.0 * p - 1.0))
-    if link.kind == "affine":
+        out = scale * math.sqrt(2.0) * erfinv(2.0 * p - 1.0)
+    elif link.kind == "affine":
         a, b = link.params
-        return (p - a) / b
-    if link.kind == "beta_flat":
-        logit = math.log(p / (1.0 - p))
-        return math.copysign(abs(logit) ** (1.0 / link.beta), logit)
-    raise ValueError("constant link has no inverse")
+        out = (p - a) / b
+    elif link.kind == "beta_flat":
+        z = logit(p)
+        out = np.copysign(np.abs(z) ** (1.0 / link.beta), z)
+    else:
+        raise ValueError("constant link has no inverse")
+    return float(out) if scalar else out
+
+
+@dataclass(frozen=True)
+class LinkCurve:
+    """The success-probability curve ``x -> phi0(delta * x)`` at one impact ``delta``.
+
+    Exposes the kinks of the clamped affine link as ``breakpoints`` and
+    inverts in closed form, so metrics split and cross it exactly.
+    """
+
+    link: LinkSpec
+    delta: float
+
+    def __call__(self, x) -> np.ndarray | float:
+        return link_eval(self.link, self.delta * np.asarray(x, dtype=float))
+
+    def inverse(self, p) -> np.ndarray | float:
+        """The ``x`` with ``phi0(delta * x) = p``; +-inf where the link never reaches ``p``."""
+        return link_inverse(self.link, p) / self.delta
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        if self.link.kind != "affine":
+            return np.empty(0)
+        a, b = self.link.params
+        return np.array([-a, 1.0 - a]) / (b * self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +340,13 @@ class Scenario:
     def delta(self, n: int) -> float:
         return self.impact_scale * float(n) ** (-self.impact_exponent)
 
-    def phi_fn(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        d = self.delta(n)
-        link = self.link
-        return lambda x: link_eval(link, d * np.asarray(x, dtype=float))
+    def phi_fn(self, n: int) -> LinkCurve:
+        return LinkCurve(self.link, self.delta(n))
 
 
 def phi_n(scn: Scenario, n: int, x):
     """Conditional success probability at feature value ``x`` for size ``n``."""
-    x = x if np.isscalar(x) else np.asarray(x, dtype=float)
-    return link_eval(scn.link, scn.delta(n) * x)
+    return scn.phi_fn(n)(x)
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def test_09_slow_regime_l1_centering():
     assert abs_se <= 0.005
     edge, edge_se = edge_layer_constant(DEFAULT_EDGE_GRID, 20_000, stream(SEED, 109, 2))
     assert edge_se <= 0.005
-    first = mu_n(scn, n, abs_mean, QuadratureCfg(1e-9, 48))
+    first = mu_n(scn, n, abs_mean, QuadratureCfg(1e-9))
     layer = boundary_term(scn, n, edge)
     rate = (n / scn.delta(n)) ** (1.0 / 3.0)
     phi = scn.phi_fn(n)

@@ -378,6 +378,34 @@ class TestStudyInputChecks:
         err = capsys.readouterr().err
         assert "interior" in err and len(err.strip().splitlines()) == 1
 
+    def test_flat_link_off_the_flat_point_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # beta = 3 is slow at gamma 0.05 and fast at 0.8; the slow gamma is
+        # checked before the fast one draws
+        monkeypatch.setattr(experiments, "draw_sample", _no_draws)
+        code = main([
+            "rate-study", "--out", str(tmp_path), "--set", "study.gammas=0.8,0.05",
+            "--set", "scenario.link=beta_flat", "--set", "scenario.beta=3",
+            "--set", "study.x0=0.4", "--set", "study.n_list=64,128,256",
+            "--set", "study.replicates=50",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "x0 = 0 only" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "rate_study.csv").exists()
+
+    def test_slow_fbeta_off_the_flat_point_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(limits, "brownian_paths", _no_draws)
+        code = main([
+            "simulate-limit", "--out", str(tmp_path), "--set", "limit.law_tag=slow_fbeta",
+            "--set", "scenario.link=beta_flat", "--set", "scenario.beta=3",
+            "--set", "limit.x0=0.4", "--set", "limit.draws=10",
+        ])
+        assert code == 2
+        assert "x0 = 0 only" in capsys.readouterr().err
+        assert not (tmp_path / "limit_batch.csv").exists()
+
     def test_tail_probe_two_sizes_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "draw_sample", _no_draws)
         code = main([

@@ -21,6 +21,9 @@ LOGISTIC = LinkSpec("logistic")
 UNIFORM = FeatureLaw("uniform", 1.0)
 
 
+FLAT3 = LinkSpec("beta_flat", beta=3)
+
+
 def _scn(gamma):
     return Scenario(LOGISTIC, UNIFORM, 1.0, gamma)
 
@@ -133,6 +136,17 @@ class TestRateStudy:
         with pytest.raises(ValueError, match="10000 draws, got 5000"):
             run_rate_study(cfg)
 
+    def test_flat_link_off_the_flat_point_rejected_before_any_draw(self, monkeypatch):
+        # the slow pointwise target's law holds at x0 = 0 only when beta > 1
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the x0 check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        scn = Scenario(FLAT3, UNIFORM, 1.0, 0.05, beta=3)
+        cfg = StudyConfig(scn, (2000, 4000, 8000), 50, x0=0.4, centering_draws=0)
+        with pytest.raises(ValueError, match="x0 = 0 only"):
+            run_rate_study(cfg)
+
 
 class TestLimitComparison:
     def test_regime_consistency_enforced(self):
@@ -223,6 +237,41 @@ class TestLimitComparison:
         res = run_limit_comparison(cfg)
         c = res.manifest["standardization_c"]["500"]
         assert c == pytest.approx(500 * scn.delta(500) ** 2)
+
+
+    def test_flat_link_off_the_flat_point_rejected_before_any_replicate(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the x0 check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        scn = Scenario(FLAT3, UNIFORM, 1.0, 0.05, beta=3)
+        cfg = StudyConfig(scn, (2000,), 50, x0=0.4, regime="slow_pointwise", limit_draws=100)
+        with pytest.raises(ValueError, match="x0 = 0 only"):
+            run_limit_comparison(cfg)
+
+
+class TestFlatLinkBoundaryLaw:
+    """beta_flat, beta = 3, at the boundary gamma = 1/6: the drift's Taylor coefficient."""
+
+    @staticmethod
+    def _run(x0):
+        scn = Scenario(FLAT3, UNIFORM, 2.0, 1.0 / 6.0, beta=3)
+        cfg = StudyConfig(
+            scn, (20_000,), 400, x0=x0, seed_base=11, regime="boundary_pointwise",
+            limit_draws=5000,
+        )
+        res = run_limit_comparison(cfg)
+        return res, res.extras["finite"][20_000], res.extras["limit"][20_000]
+
+    def test_law_off_the_flat_point_matches_the_data(self):
+        # x^3 - x0^3, not (x - x0)^3: the finite mean sits near +0.28 here
+        res, _, _ = self._run(0.4)
+        assert res.summary["ks"][20_000] <= 0.10
+
+    def test_spread_at_the_flat_point_matches_the_data(self):
+        # the drift carries phi0^(3)(0) / 3! = 1/4, not phi0^(3)(0) = 3/2
+        _, finite, limit = self._run(0.0)
+        assert limit.std(ddof=1) / finite.std(ddof=1) == pytest.approx(1.0, abs=0.10)
 
 
 class TestLowerBoundAudit:

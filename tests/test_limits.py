@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import chi, kstest
 
 from monotone_wfi.limits import (
@@ -32,7 +33,7 @@ from monotone_wfi.limits import (
 from monotone_wfi import limits
 from monotone_wfi.limits import _chunked, _gcm_slope_batch
 from monotone_wfi.estimator import lower_hull_indices, npmle_fit
-from monotone_wfi.metrics import QuadratureCfg, adaptive_simpson, ks_two_sample, l1_error
+from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
 from monotone_wfi.streams import stream
 
@@ -234,6 +235,18 @@ class TestSlowRegimeSampler:
         with pytest.raises(ValueError, match="strictly positive"):
             slow_limit_batch(flat, UNIFORM, 0.0, COARSE, 10, 1)
 
+    def test_higher_flatness_off_the_flat_point_rejected_before_any_path(self, monkeypatch):
+        # the s^(beta+1) drift expands the link at 0, where only it is flat
+        def no_paths(*args):
+            raise AssertionError("a path was drawn before the x0 check")
+
+        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        flat3 = LinkSpec("beta_flat", beta=3)
+        with pytest.raises(ValueError, match="x0 = 0 only"):
+            slow_limit_batch(flat3, UNIFORM, 0.4, COARSE, 10, 1)
+        with pytest.raises(ValueError, match="x0 = 0 only"):
+            sample_limit_batch("slow_fbeta", 10, 1, link=flat3, law=UNIFORM, x0=-0.2, beta=3)
+
     def test_higher_flatness_spreads_wider(self):
         flat3 = LinkSpec("beta_flat", beta=3)
         d3 = slow_limit_batch(flat3, UNIFORM, 0.0, COARSE, 5000, 24)
@@ -280,20 +293,21 @@ class TestBoundaryDrift:
     @pytest.mark.parametrize("beta", [1, 3])
     @pytest.mark.parametrize("x0", [0.0, 0.3])
     def test_exact_drift_matches_quadrature(self, law, beta, x0):
-        # the antiderivative against adaptive Simpson of (x - x0)^beta g(x)
+        # the antiderivative against adaptive quadrature of (x^beta - x0^beta) g(x)
         link = LOGISTIC if beta == 1 else LinkSpec("beta_flat", beta=3)
-        scale = math.sqrt(2.0) * link.leading_derivative
+        scale = math.sqrt(2.0) * link.taylor_coefficient
         pts = np.linspace(0.0, 1.0, 11)
         drift = boundary_drift(2.0, link, law, x0, pts)
         for s, got in zip(pts, drift):
             upper = float(law.quantile(float(s)))
-            quad = adaptive_simpson(
-                lambda x: (x - x0) ** beta * float(law.density(x)),
+            ref, _ = quad(
+                lambda x: (x**beta - x0**beta) * law.density(x),
                 -law.half_width,
                 upper,
-                QuadratureCfg(1e-14, 48),
+                epsabs=1e-14,
+                epsrel=1e-14,
             )
-            assert abs(got - scale * quad) <= 1e-12
+            assert abs(got - scale * ref) <= 1e-12
             scalar = boundary_drift(2.0, link, law, x0, float(s))
             assert type(scalar) is float and scalar == got
 
@@ -435,7 +449,7 @@ class TestMonteCarloConstants:
 class TestCenteringAndVariance:
     def test_centering_integral_limit(self):
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
-        val = mu_n(scn, 10**12, 1.0, QuadratureCfg(1e-10, 48))
+        val = mu_n(scn, 10**12, 1.0, QuadratureCfg(1e-10))
         assert val == pytest.approx(2.0 * 0.5 ** (1 / 3), abs=1e-6)
 
     def test_centering_positive_and_linear(self):

@@ -7,7 +7,6 @@ from monotone_wfi.estimator import StepEstimate, npmle_fit
 from monotone_wfi.metrics import (
     QuadratureCfg,
     QuadratureError,
-    adaptive_simpson,
     hellinger,
     ks_two_sample,
     l1_error,
@@ -15,6 +14,7 @@ from monotone_wfi.metrics import (
 )
 from monotone_wfi.model import (
     FeatureLaw,
+    LinkCurve,
     LinkSpec,
     Sample,
     Scenario,
@@ -39,19 +39,18 @@ def _random_step(rng, k=8):
 
 class TestQuadrature:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureCfg(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureCfg(max_depth=5)
+        for tol in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError):
+                QuadratureCfg(abs_tol=tol)
 
-    def test_known_integral(self):
-        val = adaptive_simpson(np.exp, 0.0, 1.0, QuadratureCfg(1e-12, 48))
-        assert val == pytest.approx(np.e - 1.0, abs=1e-11)
-
-    def test_depth_exhaustion_raises(self):
-        jump = lambda x: 0.0 if x < 0.123456 else 1.0
-        with pytest.raises(QuadratureError):
-            adaptive_simpson(jump, 0.0, 1.0, QuadratureCfg(1e-14, 12))
+    def test_hidden_jump_raises(self):
+        # a jump the target does not expose as a breakpoint fails the
+        # 32-node against two 16-node halves check; exposed, it passes
+        hidden = lambda x: np.where(np.asarray(x) < 0.123456, 0.2, 0.7)
+        with pytest.raises(QuadratureError, match="not smooth"):
+            hellinger(hidden, _const(0.5), UNIFORM, QuadratureCfg(1e-8))
+        exposed = StepEstimate(np.array([-1.0, 0.123456]), np.array([0.2, 0.7]))
+        assert hellinger(exposed, _const(0.5), UNIFORM, QuadratureCfg(1e-14)) > 0.0
 
 
 class TestHellinger:
@@ -64,7 +63,7 @@ class TestHellinger:
 
     def test_fast_pair_budget(self):
         pair = build_pointwise_hypotheses(0.001, 400, 0.4, UNIFORM, 0.0)
-        d = hellinger(pair.upper, pair.lower, UNIFORM, QuadratureCfg(1e-11, 48))
+        d = hellinger(pair.upper, pair.lower, UNIFORM, QuadratureCfg(1e-11))
         assert 400 * d * d <= 4 * 0.4**2
         assert 400 * d * d > 0.1  # not vacuous
 
@@ -81,13 +80,14 @@ class TestHellinger:
             assert dfg <= dfh + dhg + 1e-9
 
     def test_dominates_l1_under_feature_law(self):
-        # squared distance at least a quarter of the squared weighted L1 gap
+        # squared distance at least a quarter of the squared weighted L1 gap;
+        # the uniform law's density is 1/2, so that gap is half the Lebesgue one
         rng = np.random.default_rng(9)
         for _ in range(10):
             f = _random_step(rng)
             g = _random_step(rng)
             d2 = hellinger(f, g, UNIFORM) ** 2
-            l1 = l1_error(f, g, "feature_law", law=UNIFORM)
+            l1 = 0.5 * l1_error(f, g, "lebesgue", interval=(-1, 1))
             assert d2 >= 0.25 * l1 * l1 - 1e-8
 
 
@@ -119,19 +119,52 @@ class TestL1Error:
         for _ in range(5):
             step = _random_step(rng, k=10)
             delta = rng.uniform(0.1, 2.0)
-            target = lambda x, d=delta: 1.0 / (1.0 + np.exp(-d * np.asarray(x)))
+            target = LinkCurve(link, delta)
             exact = l1_error(step, target, "lebesgue", interval=(-1, 1))
             brute = np.trapezoid(np.abs(step(grid) - target(grid)), grid)
             assert exact == pytest.approx(brute, abs=1e-6)
 
-    def test_feature_law_measure_matches_riemann(self):
+    def test_matches_softplus_closed_form(self):
+        # the integral of sigma(d x) from u to v is log1p(sigma(d u) expm1(d (v - u))) / d
         rng = np.random.default_rng(11)
-        step = _random_step(rng, k=6)
-        target = lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x)))
-        exact = l1_error(step, target, "feature_law", law=POLY)
-        grid = np.linspace(-1, 1, 1_000_001)
-        brute = np.trapezoid(np.abs(step(grid) - target(grid)) * POLY.density(grid), grid)
-        assert exact == pytest.approx(brute, abs=1e-6)
+        link = LinkSpec("logistic")
+        for _ in range(20):
+            step = _random_step(rng, k=10)
+            delta = rng.uniform(0.1, 2.0)
+            target = LinkCurve(link, delta)
+
+            def area(u, v):
+                return np.log1p(target(u) * np.expm1(delta * (v - u))) / delta
+
+            edges = np.concatenate(([-1.0], step.jump_xs, [1.0]))
+            ref = 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                level = step(a)
+                c = min(max(float(np.log(level / (1.0 - level))) / delta, a), b) if level > 0 else a
+                ref += level * (c - a) - area(a, c) + area(c, b) - level * (b - c)
+            got = l1_error(step, target, "lebesgue", interval=(-1, 1))
+            assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_affine_link_kinks_are_split(self):
+        # the clamped affine link kinks at x = -1/4 and 1/4; against the exact
+        # integral of the piecewise-linear gap, split at every jump, kink and crossing
+        scn = Scenario(LinkSpec("affine", 1, (0.5, 2.0)), UNIFORM, 1.0, 0.0)
+        phi = scn.phi_fn(2000)
+        np.testing.assert_array_equal(phi.breakpoints, [-0.25, 0.25])
+        for r in range(10):
+            fit = npmle_fit(draw_sample(scn, 2000, stream(22, r)))
+            pts = np.unique(np.concatenate(([-1.0, -0.25, 0.25, 1.0], fit.jump_xs)))
+            pts = pts[(pts >= -1.0) & (pts <= 1.0)]
+            ref = 0.0
+            for a, b in zip(pts[:-1], pts[1:]):
+                ga, gb = fit(a) - phi(a), fit(a) - phi(b)  # linear on [a, b]
+                if ga * gb < 0:
+                    c = a + (b - a) * ga / (ga - gb)
+                    ref += 0.5 * ((c - a) * abs(ga) + (b - c) * abs(gb))
+                else:
+                    ref += 0.5 * (b - a) * (abs(ga) + abs(gb))
+            got = l1_error(fit, phi, "lebesgue", interval=(-1, 1))
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_empirical_measure(self):
         s = Sample.from_draws([0.0, 1.0, 2.0, 2.0], [0, 1, 1, 0])
@@ -217,5 +250,5 @@ class TestOnFittedCurves:
         scn = Scenario(LinkSpec("logistic"), UNIFORM, 1.0, 0.0)
         s = draw_sample(scn, 2000, stream(21, 0))
         fit = npmle_fit(s)
-        d = hellinger(fit, scn.phi_fn(2000), UNIFORM, QuadratureCfg(1e-8, 48))
+        d = hellinger(fit, scn.phi_fn(2000), UNIFORM, QuadratureCfg(1e-8))
         assert 0.0 < d < 0.1

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from monotone_wfi.metrics import QuadratureCfg, adaptive_simpson
 from monotone_wfi.model import (
     FeatureLaw,
+    LinkCurve,
     LinkSpec,
     Sample,
     Scenario,
@@ -60,11 +61,11 @@ class TestLinkValues:
         link = LinkSpec("beta_flat", beta=3)
         assert link_eval(link, 0.0) == 0.5
         assert link_slope(link, 0.0) == 0.0
-        assert link.leading_derivative == 1.5
+        assert link.taylor_coefficient == 0.25
 
     def test_logistic_first_derivative(self):
         assert link_slope(LOGISTIC, 0.0) == 0.25
-        assert LOGISTIC.leading_derivative == 0.25
+        assert LOGISTIC.taylor_coefficient == 0.25
 
     def test_values_in_unit_interval_and_monotone(self):
         grid = np.linspace(-8, 8, 4001)
@@ -78,7 +79,7 @@ class TestLinkValues:
         for link in ALL_LINKS:
             if link.beta > 1:
                 assert link_slope(link, 0.0) == 0.0
-            assert link.leading_derivative > 0
+            assert link.taylor_coefficient > 0
 
     def test_derivatives_match_finite_differences(self):
         links = ALL_LINKS + [LinkSpec("constant", params=(0.3,))]
@@ -96,10 +97,10 @@ class TestLinkValues:
         "link", ALL_LINKS[:5], ids=["logistic", "probit1", "probit2", "beta_flat3", "beta_flat5"]
     )
     def test_leading_derivative_matches_difference_quotient(self, link):
-        # phi0(u) - phi0(0) = phi0^(beta)(0) u^beta / beta! + O(u^(beta+1))
+        # phi0(u) - phi0(0) = (phi0^(beta)(0) / beta!) u^beta + O(u^(beta+1))
         u = 1e-6 ** (1.0 / link.beta)
-        quotient = (link_eval(link, u) - link.value_at_zero) * math.factorial(link.beta) / u**link.beta
-        assert link.leading_derivative == pytest.approx(quotient, rel=1e-6)
+        quotient = (link_eval(link, u) - link.value_at_zero) / u**link.beta
+        assert link.taylor_coefficient == pytest.approx(quotient, rel=1e-6)
 
     def test_even_beta_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -121,6 +122,19 @@ class TestLinkValues:
                 u = link_inverse(link, p)
                 assert link_eval(link, u) == pytest.approx(p, abs=1e-12)
 
+    def test_inverse_is_vectorized_with_infinite_ends(self):
+        ps = np.array([0.0, 0.3, 0.5, 0.62, 1.0])
+        for link in ALL_LINKS[:5]:  # the links that never reach 0 or 1
+            us = link_inverse(link, ps)
+            assert us[0] == -np.inf and us[-1] == np.inf and us[2] == 0.0
+            for p, u in zip(ps[1:-1], us[1:-1]):
+                assert u == link_inverse(link, float(p))
+            assert type(link_inverse(link, 0.3)) is float
+        affine = LinkSpec("affine", params=(0.4, 0.2))
+        np.testing.assert_allclose(link_inverse(affine, np.array([0.0, 1.0])), [-2.0, 3.0])
+        with pytest.raises(ValueError, match="no inverse"):
+            link_inverse(LinkSpec("constant", params=(0.5,)), 0.5)
+
     def test_noise_scale(self):
         assert LOGISTIC.noise_scale == pytest.approx(0.5)
         link = LinkSpec("affine", params=(0.4, 0.2))
@@ -136,12 +150,7 @@ class TestFeatureLaws:
 
     @pytest.mark.parametrize("law", [UNIFORM, POLY, FeatureLaw("polynomial", 2.0, (0.8,))])
     def test_density_integrates_to_one(self, law):
-        total = adaptive_simpson(
-            lambda x: float(law.density(x)),
-            -law.half_width,
-            law.half_width,
-            QuadratureCfg(1e-12, 48),
-        )
+        total, _ = quad(law.density, -law.half_width, law.half_width, epsabs=1e-13)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("law", [UNIFORM, POLY])
@@ -256,6 +265,23 @@ class TestScenario:
         assert phi_n(scn, 977, 0.0) == 0.5
         fixed = Scenario(LOGISTIC, UNIFORM, 1.0, 0.0)
         assert phi_n(fixed, 10, 0.3) == phi_n(fixed, 10_000, 0.3)
+
+    def test_phi_fn_is_the_link_curve(self):
+        scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
+        phi = scn.phi_fn(50)
+        assert phi == LinkCurve(LOGISTIC, scn.delta(50))
+        xs = np.linspace(-1, 1, 11)
+        assert np.array_equal(phi(xs), phi_n(scn, 50, xs))
+        assert type(phi(0.3)) is float and phi(0.3) == phi_n(scn, 50, 0.3)
+        np.testing.assert_allclose(phi(phi.inverse(phi(xs))), phi(xs), rtol=1e-15)
+        assert phi.breakpoints.size == 0
+
+    def test_affine_curve_exposes_its_clip_points(self):
+        scn = Scenario(LinkSpec("affine", params=(0.5, 2.0)), UNIFORM, 1.0, 0.0)
+        phi = scn.phi_fn(10)
+        np.testing.assert_array_equal(phi.breakpoints, [-0.25, 0.25])
+        assert phi(-0.25) == 0.0 and phi(0.25) == 1.0
+        assert phi.inverse(0.75) == 0.125
 
     def test_phi_n_monotone_in_x(self):
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
