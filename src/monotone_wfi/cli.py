@@ -37,12 +37,14 @@ from .experiments import (
 )
 from .estimator import npmle_fit
 from .limits import (
+    DEFAULT_TWO_SIDED_GRID,
     GridEscapeError,
     LAW_GRIDS,
     LAW_TAGS,
     PathGrid,
     check_cov_integral_args,
     chernoff_abs_mean,
+    chernoff_abs_mean_mc,
     chernoff_cov_integral,
     sample_limit_batch,
 )
@@ -274,12 +276,11 @@ def _build_scenario(cfg: dict) -> Scenario:
     )
 
 
-def _build_grid(cfg: dict, law_tag: str) -> PathGrid | None:
-    """The law's own window with the grid keys that are set laid over it."""
-    grid = LAW_GRIDS[law_tag]
+def _build_grid(cfg: dict, grid: PathGrid | None, what: str) -> PathGrid | None:
+    """``grid`` with the grid keys that are set laid over it; ``None`` takes no key."""
     given = {k: v for k, v in _keys_under(cfg, "grid").items() if v is not None}
     if given and grid is None:
-        raise ConfigError(f"{law_tag} is drawn exactly and takes no grid")
+        raise ConfigError(f"{what} is drawn exactly and takes no grid")
     return replace(grid, **given) if given else grid
 
 
@@ -378,7 +379,7 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
         x0=cfg["limit.x0"],
         beta=cfg["scenario.beta"],
         c=cfg["limit.c"],
-        grid=_build_grid(cfg, tag),
+        grid=_build_grid(cfg, LAW_GRIDS[tag], tag),
     )
     out = _out_dir(cfg)
     _write_text(
@@ -541,29 +542,35 @@ def _cmd_consistency(cfg: dict, args) -> int:
 
 
 def _cmd_constants(cfg: dict, args) -> int:
-    grid = _build_grid(cfg, "scaled_chernoff")  # the Chernoff law's window
+    # E|Z| is exact; the grid keys size the covariance integral's paths only
+    grid = _build_grid(cfg, DEFAULT_TWO_SIDED_GRID, "constants")
     a_max, a_step, cov_draws = (
         cfg["constants.a_max"], cfg["constants.a_step"], cfg["constants.cov_draws"]
     )
     check_cov_integral_args(grid, a_max, a_step, cov_draws)
-    est, se = chernoff_abs_mean(grid, cfg["constants.abs_mean_draws"], cfg["seed"])
+    exact = chernoff_abs_mean()
+    mc, mc_se = chernoff_abs_mean_mc(cfg["constants.abs_mean_draws"], cfg["seed"])
     cov = chernoff_cov_integral(grid, a_max, a_step, cov_draws, cfg["seed"] + 1)
     res = StudyResult(
         ("name", "estimate", "se"),
-        [("chernoff_abs_mean", est, se), ("cov_integral", cov.estimate, cov.se)],
+        [("chernoff_abs_mean", exact, 0.0), ("cov_integral", cov.estimate, cov.se)],
         {},
         {
-            "chernoff_abs_mean": est,
-            "chernoff_abs_mean_se": se,
+            "chernoff_abs_mean": exact,
+            "chernoff_abs_mean_mc": mc,
+            "chernoff_abs_mean_mc_se": mc_se,
             "cov_integral": cov.estimate,
             "cov_integral_se": cov.se,
             "cov_tail": cov.tail_cov,
             "cov_tail_se": cov.tail_se,
-            "flags": {"tail_within_2se": abs(cov.tail_cov) <= 2.0 * cov.tail_se},
+            "flags": {
+                "abs_mean_mc_within_4se": abs(mc - exact) <= 4.0 * mc_se,
+                "tail_within_2se": abs(cov.tail_cov) <= 2.0 * cov.tail_se,
+            },
         },
     )
     _write_study(cfg, "constants", res)
-    return EXIT_OK
+    return _check_exit(args, res)
 
 
 _COMMANDS = {

@@ -230,11 +230,13 @@ def _inverse_index(cw: np.ndarray, co: np.ndarray, a: float) -> int:
     return int(near[max(k for k, key in enumerate(keys) if key == best)])
 
 
-def _fitted_value_exact(cw: np.ndarray, co: np.ndarray, k: int) -> Fraction:
-    """Fitted value at the k-th block as an exact ratio of counts (0 at k = 0)."""
+def _fitted_value_exact(cw: np.ndarray, co: np.ndarray, keep: np.ndarray, k: int) -> Fraction:
+    """Fitted value at the k-th block as an exact ratio of counts (0 at k = 0).
+
+    ``keep`` holds the minorant's vertex indices.
+    """
     if k == 0:
         return Fraction(0)
-    keep = _minorant_indices(cw, co)
     j = int(np.searchsorted(keep, k))
     a, b = int(keep[j - 1]), int(keep[j])
     return Fraction(int(co[b] - co[a]), int(cw[b] - cw[a]))
@@ -247,10 +249,12 @@ def switch_check(s: Sample, x: float, a: float) -> dict:
     inverse taken as the largest minimizer.  Both sides are evaluated in
     exact rational arithmetic, so the equivalence holds for every ``x``
     within the sample range and every ``a`` in [0, 1], ties included.
+    The cusums and the minorant come from ``s.diagram``, built once per
+    sample.
     """
-    cw, co = _cusums(s)
+    cw, co, keep = s.diagram
     k = int(np.searchsorted(s.xs, x, side="right"))
-    lhs = _fitted_value_exact(cw, co, k) > Fraction(a)
+    lhs = _fitted_value_exact(cw, co, keep, k) > Fraction(a)
     rhs = _inverse_index(cw, co, a) < k
     return {"lhs": bool(lhs), "rhs": bool(rhs)}
 

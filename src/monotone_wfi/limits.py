@@ -1,11 +1,13 @@
 """Samplers for every limit law arising in the weak-impact scenario.
 
 All samplers are pure functions of (parameters, grid, seed) and draw a
-whole batch.  The fast-regime L1 law is drawn exactly from its closed
-form; the others discretize Gaussian paths on a fixed grid, in chunks of
-``_CHUNK`` paths (:func:`_chunked`).  Slope-type laws are the left slopes
-of the greatest convex minorant of a simulated path: the isotonic fit of
-the path increments, checked in the tests against the monotone stack.
+whole batch.  The fast-regime L1 law and the Chernoff law are drawn
+exactly, the latter by inversion of its Airy-function CDF
+(:func:`chernoff_table`); the others discretize Gaussian paths on a
+fixed grid, in chunks of ``_CHUNK`` paths (:func:`_chunked`).
+Slope-type laws are the left slopes of the greatest convex minorant of a
+simulated path: the isotonic fit of the path increments, checked in the
+tests against the monotone stack.
 
 Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
 samplers live on a two-sided window [-S, S] with a confining drift; an
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import isotonic_regression
+from scipy.special import airy
 
 from .metrics import QuadratureCfg, _gl_checked, _split_points
 from .model import FeatureLaw, LinkSpec, Scenario, link_eval, link_slope
@@ -31,6 +34,7 @@ from .streams import stream
 __all__ = [
     "PathGrid",
     "GridEscapeError",
+    "ChernoffTable",
     "LimitBatch",
     "CovIntegral",
     "DEFAULT_TWO_SIDED_GRID",
@@ -41,6 +45,8 @@ __all__ = [
     "brownian_paths",
     "chernoff_batch",
     "argmin_quadratic_batch",
+    "chernoff_table",
+    "chernoff_exact_batch",
     "scaled_chernoff_constant",
     "slow_limit_batch",
     "check_slow_pointwise",
@@ -48,6 +54,7 @@ __all__ = [
     "boundary_limit_batch",
     "l1_fast_batch",
     "chernoff_abs_mean",
+    "chernoff_abs_mean_mc",
     "check_cov_integral_args",
     "chernoff_cov_integral",
     "edge_layer_constant",
@@ -101,7 +108,7 @@ DEFAULT_EDGE_GRID = PathGrid(6.0, 1e-3, False)
 
 # each law's own window (None: drawn exactly); the order fixes each tag's stream id
 LAW_GRIDS: dict[str, PathGrid | None] = {
-    "scaled_chernoff": DEFAULT_TWO_SIDED_GRID,
+    "scaled_chernoff": None,
     "slow_fbeta": DEFAULT_TWO_SIDED_GRID,
     "boundary_gbc": DEFAULT_UNIT_GRID,
     "fast_w_slope": DEFAULT_UNIT_GRID,
@@ -210,8 +217,115 @@ def argmin_quadratic_batch(
 
 
 def chernoff_batch(grid: PathGrid, m: int, seed_or_rng) -> np.ndarray:
-    """Draws of ``argmin_s {Z(s) + s^2}``."""
+    """Draws of ``argmin_s {Z(s) + s^2}`` on the grid (:func:`chernoff_exact_batch` is exact)."""
     return argmin_quadratic_batch(grid, m, seed_or_rng, 1.0, 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact Chernoff law
+
+# trapezoid in lambda for the Airy transform: its integrand decays like
+# exp(-0.47 (2^(-1/3) lambda)^(3/2)), below 1e-16 by lambda = 24
+_AIRY_STEP, _AIRY_MAX = 0.1, 24.0
+# the table's grid in z: the density is below 1e-21 beyond |z| = 4
+_TABLE_STEP, _TABLE_MAX = 1.0 / 400.0, 4.0
+
+
+@dataclass(frozen=True)
+class ChernoffTable:
+    """The law of ``Z = argmin_s {W(s) + s^2}``, symmetric about 0.
+
+    ``z`` is the grid [0, 4] at step 1/400, with the density ``pdf`` and the
+    CDF ``cdf`` (``cdf[0] = 1/2``) on it.  Between grid points the CDF is
+    the cubic Hermite interpolant of ``cdf`` and ``pdf``.  ``mass``,
+    ``abs_mean`` (``E|Z|``) and ``var`` are checked Gauss-Legendre integrals
+    of the density itself.
+    """
+
+    z: np.ndarray
+    pdf: np.ndarray
+    cdf: np.ndarray
+    mass: float
+    abs_mean: float
+    var: float
+
+    def _cubic(self, k: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(p0, p1, p2, p3)``: ``cdf - 1/2`` on piece ``k`` is ``sum p_j t^j``, ``t`` in [0, 1]."""
+        a0, a1 = self.cdf[k] - 0.5, self.cdf[k + 1] - 0.5
+        d0, d1 = _TABLE_STEP * self.pdf[k], _TABLE_STEP * self.pdf[k + 1]
+        return a0, d0, 3.0 * (a1 - a0) - 2.0 * d0 - d1, 2.0 * (a0 - a1) + d0 + d1
+
+    def cdf_at(self, x) -> np.ndarray:
+        """``P(Z <= x)``."""
+        x = np.asarray(x, dtype=float)
+        r = np.minimum(np.abs(x), _TABLE_MAX) / _TABLE_STEP
+        k = np.minimum(r.astype(np.int64), self.z.size - 2)
+        t = r - k
+        p0, p1, p2, p3 = self._cubic(k)
+        return 0.5 + np.sign(x) * (p0 + t * (p1 + t * (p2 + t * p3)))
+
+    def quantile(self, u) -> np.ndarray:
+        """The inverse of :meth:`cdf_at` on [0, 1], clipped to [-4, 4].
+
+        Newton's method on the piece's cubic, from its chord; the cubic is
+        increasing, and each step is clipped to the piece.
+        """
+        u = np.asarray(u, dtype=float)
+        v = np.abs(u - 0.5)
+        k = np.clip(np.searchsorted(self.cdf - 0.5, v, side="right") - 1, 0, self.z.size - 2)
+        p0, p1, p2, p3 = self._cubic(k)
+        chord = p1 + p2 + p3
+        t = np.clip((v - p0) / np.where(chord > 0, chord, np.inf), 0.0, 1.0)
+        for _ in range(3):
+            gap = p0 + t * (p1 + t * (p2 + t * p3)) - v
+            slope = p1 + t * (2.0 * p2 + 3.0 * t * p3)
+            t = np.clip(t - gap / np.where(slope > 0, slope, np.inf), 0.0, 1.0)
+        return np.sign(u - 0.5) * (self.z[k] + _TABLE_STEP * t)
+
+
+@cache
+def chernoff_table() -> ChernoffTable:
+    """The exact Chernoff law, built on first use and kept.
+
+    Groeneboom (1989) gives the density ``f(z) = g(z) g(-z) / 2`` with
+    ``int e^(i lambda s) g(s) ds = 2^(1/3) / Ai(i 2^(-1/3) lambda)``.  For
+    ``z >= 0``, ``g(+-z) = C(z) +- S(z)``, where ``C`` is ``1/pi`` times the
+    integral over ``lambda >= 0`` of ``cos(lambda z)`` times the real part of
+    that transform and ``S`` the same with ``sin`` and the imaginary part.
+    Both integrands are even in ``lambda`` and analytic, so the trapezoid
+    rule in ``lambda`` converges geometrically (as in Groeneboom & Wellner
+    2001).  Each step of the grid CDF is the end-corrected trapezoid
+    ``h (f_k + f_k+1) / 2 + h^2 (f'_k - f'_k+1) / 12``, the exact integral
+    of the Hermite cubic of the density.
+    """
+    lam = _AIRY_STEP * np.arange(round(_AIRY_MAX / _AIRY_STEP) + 1)
+    ghat = 2.0 ** (1.0 / 3.0) / airy(1j * 2.0 ** (-1.0 / 3.0) * lam)[0]
+    weights = np.full(lam.size, _AIRY_STEP / math.pi)
+    weights[0] *= 0.5
+    re, im = weights * ghat.real, weights * ghat.imag
+
+    def density(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``f(z)`` and ``f'(z)`` for ``z >= 0``."""
+        arg = np.multiply.outer(z, lam)
+        cos, sin = np.cos(arg), np.sin(arg)
+        c, s = cos @ re, sin @ im
+        return 0.5 * (c * c - s * s), c * -(sin @ (lam * re)) - s * (cos @ (lam * im))
+
+    z = _TABLE_STEP * np.arange(round(_TABLE_MAX / _TABLE_STEP) + 1)
+    pdf, dpdf = density(z)
+    pdf = np.maximum(pdf, 0.0)  # the far tail is rounding noise of size 1e-22
+    step = _TABLE_STEP * (pdf[:-1] + pdf[1:]) / 2 + _TABLE_STEP**2 * (dpdf[:-1] - dpdf[1:]) / 12
+    cdf = 0.5 + np.concatenate(([0.0], np.cumsum(step)))
+    edges, q = np.linspace(0.0, _TABLE_MAX, 9), QuadratureCfg(1e-13)
+    mass, abs_mean, var = (
+        2.0 * _gl_checked(lambda x, j=j: x**j * density(x)[0], edges, q) for j in range(3)
+    )
+    return ChernoffTable(z, pdf, cdf, mass, abs_mean, var)
+
+
+def chernoff_exact_batch(m: int, seed_or_rng) -> np.ndarray:
+    """Exact draws of ``argmin_s {Z(s) + s^2}``: the table's quantiles of uniforms."""
+    return chernoff_table().quantile(_as_rng(seed_or_rng).random(m))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +490,19 @@ def l1_fast_batch(link: LinkSpec, m: int, seed_or_rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo constants
+# constants
 
 
-def chernoff_abs_mean(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, float]:
-    """Monte Carlo mean of |argmin(Z + s^2)| with its standard error."""
+def chernoff_abs_mean() -> float:
+    """Exact ``E|Z|`` of the Chernoff law, from :func:`chernoff_table`."""
+    return chernoff_table().abs_mean
+
+
+def chernoff_abs_mean_mc(m: int, seed_or_rng) -> tuple[float, float]:
+    """Mean of |Z| over ``m`` exact draws, with its standard error: a check of the table."""
     if m < 10_000:
         raise ValueError("first-absolute-moment runs need at least 10^4 draws")
-    draws = np.abs(chernoff_batch(grid, m, seed_or_rng))
+    draws = np.abs(chernoff_exact_batch(m, seed_or_rng))
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(m))
 
 
@@ -400,8 +519,8 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
     On the one-sided window [0, L] the profile is integrated over
     [0, L/2] and its far-field level is read as its mean over the middle
     third [L/3, 2L/3] of the same paths, so the grid's discretization
-    bias in ``E|X(0)|`` cancels; :func:`chernoff_abs_mean` samples a
-    different discretization and must not stand in for the level.  The
+    bias in ``E|X(0)|`` cancels; the exact :func:`chernoff_abs_mean` must
+    not stand in for the level, which moves with the grid step.  The
     window end at L bends the profile like the edge at 0 does, and both
     settle within about 2 units, hence ``L >= 6``.
     """
@@ -531,15 +650,32 @@ def mu_n(
     scale ``kappa_n(t) = (4 phi_n (1 - phi_n) phi0'(delta_n t) / density(t))^(1/3)``.
     It leaves out the support-boundary layer (:func:`boundary_term`),
     which is of relative order ``(n delta_n^2)^(-1/3)``.  The integral is
-    checked piecewise Gauss-Legendre, split at the affine link's kinks.
+    checked piecewise Gauss-Legendre, split at the affine link's clip
+    points.  There ``kappa_n`` has a cube-root zero, so a piece that ends
+    at one is integrated in ``t`` through ``x = a + (b - a) s(t)`` with the
+    smoothstep ``s(t) = 10 t^3 - 15 t^4 + 6 t^5``: its cubic contact at
+    both ends makes the integrand smooth.
     """
     if link_slope(scn.link, 0.0) <= 0:
         raise ValueError("centering needs a strictly positive link slope at 0")
     t = scn.law.half_width
     delta = scn.delta(n)
-    edges = _split_points(-t, t, scn.phi_fn(n))
-    kappa = lambda x: _chernoff_scale(scn.link, scn.law, delta * x, x)
-    return chernoff_abs_mean_value * _gl_checked(kappa, edges, q or QuadratureCfg())
+    curve = scn.phi_fn(n)
+    edges = _split_points(-t, t, curve)
+    clip = np.isin(edges, curve.breakpoints)
+    mapped = clip[:-1] | clip[1:]
+    lo, width = edges[:-1], np.diff(edges)
+
+    def integrand(u: np.ndarray) -> np.ndarray:  # u in (i, i + 1) runs over piece i
+        i = u.astype(np.int64)
+        s = u - i
+        jac = np.where(mapped[i], 30.0 * s * s * (1.0 - s) ** 2, 1.0)
+        s = np.where(mapped[i], s**3 * (10.0 - 15.0 * s + 6.0 * s * s), s)
+        x = lo[i] + width[i] * s
+        return _chernoff_scale(scn.link, scn.law, delta * x, x) * width[i] * jac
+
+    pieces = np.arange(lo.size + 1.0)
+    return chernoff_abs_mean_value * _gl_checked(integrand, pieces, q or QuadratureCfg())
 
 
 def local_width(scn: Scenario, n: int, x: float) -> float:
@@ -610,7 +746,8 @@ def sample_limit_batch(
 ) -> LimitBatch:
     """Tagged batch of ``m`` draws on ``grid``, by default the law's own window.
 
-    ``l1_fast_maxA`` is exact and takes no grid (:data:`LAW_GRIDS`).
+    ``scaled_chernoff`` and ``l1_fast_maxA`` are exact and take no grid
+    (:data:`LAW_GRIDS`).
     ``beta`` must equal ``link.beta``.  Every other tag uses ``x0``, which
     must be interior to the feature support.
     """
@@ -629,7 +766,7 @@ def sample_limit_batch(
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":
         kappa = scaled_chernoff_constant(link, law, x0)
-        draws = kappa * chernoff_batch(grid, m, rng)
+        draws = kappa * chernoff_exact_batch(m, rng)
         params["kappa"] = kappa
     elif law_tag == "slow_fbeta":
         draws = slow_limit_batch(link, law, x0, grid, m, rng)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -383,6 +384,18 @@ class Sample:
     @property
     def n(self) -> int:
         return int(self.weights.sum())
+
+    @cached_property
+    def diagram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integer cusums and the vertex indices of their minorant, built on first use.
+
+        Kept on the sample for :func:`~monotone_wfi.estimator.switch_check`,
+        which reads them on every call.
+        """
+        from .estimator import _cusums, _minorant_indices  # estimator imports this module
+
+        cw, co = _cusums(self)
+        return cw, co, _minorant_indices(cw, co)
 
     @property
     def ys(self) -> np.ndarray:

@@ -295,10 +295,7 @@ def test_09_slow_regime_l1_centering():
     start = time.time()
     n = 40_000
     scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
-    abs_mean, abs_se = chernoff_abs_mean(
-        DEFAULT_TWO_SIDED_GRID, 20_000, stream(SEED, 109, 0)
-    )
-    assert abs_se <= 0.005
+    abs_mean = chernoff_abs_mean()  # exact, from the Airy-function density
     edge, edge_se = edge_layer_constant(DEFAULT_EDGE_GRID, 20_000, stream(SEED, 109, 2))
     assert edge_se <= 0.005
     first = mu_n(scn, n, abs_mean, QuadratureCfg(1e-9))
@@ -425,7 +422,6 @@ def test_13_determinism_serial_vs_parallel(tmp_path):
             "--seed", str(SEED),
             "--threads", threads,
             "--set", "limit.draws=2000",
-            "--set", "grid.step=0.04",
         ]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from monotone_wfi import experiments, limits
+from monotone_wfi import cli, experiments, limits
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -126,8 +126,6 @@ class TestSimulateLimit:
             "--out", str(tmp_path / "a"),
             "--seed", "42",
             "--set", "limit.draws=500",
-            "--set", "grid.step=0.04",
-            "--set", "grid.half_width=4.0",
         ]
         assert main(args) == 0
         first = _read(tmp_path / "a" / "limit_batch.csv")
@@ -136,7 +134,7 @@ class TestSimulateLimit:
         assert _read(tmp_path / "b" / "limit_batch.csv") == first
         meta = json.loads(_read(tmp_path / "a" / "limit_batch.meta.json"))
         assert meta["law_tag"] == "scaled_chernoff"
-        assert meta["draws"] == 500
+        assert meta["draws"] == 500 and meta["grid"] is None
 
     def test_l1_fast_draws_nonnegative(self, tmp_path):
         code = main([
@@ -206,7 +204,9 @@ class TestSimulateLimit:
         assert not (tmp_path / "limit_batch.csv").exists()
 
     @pytest.mark.parametrize(
-        "tag, key", [("l1_fast_maxA", "grid.step=0.002"), ("fast_w_slope", "grid.half_width=4.0")]
+        "tag, key",
+        [("l1_fast_maxA", "grid.step=0.002"), ("scaled_chernoff", "grid.step=0.002"),
+         ("scaled_chernoff", "grid.half_width=8.0"), ("fast_w_slope", "grid.half_width=4.0")],
     )
     def test_grid_key_the_law_cannot_take_exits_2(self, tmp_path, capsys, tag, key):
         # an exact law takes no grid; the boundary laws live on [0, 1]
@@ -317,9 +317,35 @@ class TestStudyCommands:
         assert rows[0] == "name,estimate,se"
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == ["chernoff_abs_mean", "cov_integral"]
-        for r in rows[1:]:
-            cells = r.split(",")
-            assert float(cells[1]) > 0 and float(cells[2]) > 0
+        exact, cov = (r.split(",")[1:] for r in rows[1:])
+        # E|Z| is exact; the abs_mean_draws size its Monte Carlo check
+        assert float(exact[0]) == limits.chernoff_abs_mean() and float(exact[1]) == 0.0
+        assert float(cov[0]) > 0 and float(cov[1]) > 0
+        manifest = json.loads(_read(out / "constants.manifest.json"))
+        mc, mc_se = manifest["chernoff_abs_mean_mc"], manifest["chernoff_abs_mean_mc_se"]
+        assert manifest["flags"]["abs_mean_mc_within_4se"] == (abs(mc - float(exact[0])) <= 4 * mc_se)
+        assert 0 < mc_se < 0.01
+
+    def test_constants_check_mode(self, tmp_path, monkeypatch):
+        # --check exits 4 exactly when a flag fails; here the covariance
+        # integral's tail is made to sit far outside its standard error
+        args = ["constants", "--check", "--seed", "5", "--set", "constants.abs_mean_draws=10000",
+                "--set", "constants.cov_draws=500", "--set", "grid.step=0.04"]
+        code = main([*args, "--out", str(tmp_path / "a")])
+        flags = json.loads(_read(tmp_path / "a" / "constants.manifest.json"))["flags"]
+        assert set(flags) == {"abs_mean_mc_within_4se", "tail_within_2se"}
+        assert code == (0 if all(flags.values()) else 4)
+        real = cli.chernoff_cov_integral
+
+        def far_tail(*a, **kw):
+            res = real(*a, **kw)
+            curve = res.cov_curve.copy()
+            curve[-1] = 10.0 * res.tail_se + 1.0
+            return limits.CovIntegral(res.estimate, res.se, res.a_values, curve, res.cov_se)
+
+        monkeypatch.setattr(cli, "chernoff_cov_integral", far_tail)
+        assert main([*args, "--out", str(tmp_path / "b")]) == 4
+        assert main([args[0], *args[2:], "--out", str(tmp_path / "c")]) == 0  # no --check
 
     def test_check_mode_failure_exit(self, tmp_path):
         # an acceptance-style run with an absurd tolerance must exit 4
@@ -338,7 +364,7 @@ class TestStudyCommands:
         out = tmp_path / "env"
         main([
             "simulate-limit", "--out", str(out),
-            "--set", "limit.draws=50", "--set", "grid.step=0.04",
+            "--set", "limit.draws=50",
         ])
         meta = json.loads(_read(out / "limit_batch.meta.json"))
         assert meta["seed"] == 999
@@ -432,7 +458,7 @@ class TestStudyInputChecks:
 
     @pytest.mark.parametrize(
         "key", ["constants.cov_draws=0", "constants.a_max=2.5", "constants.a_step=0.3",
-                "constants.a_step=0"]
+                "constants.a_step=0", "constants.abs_mean_draws=9999"]
     )
     def test_bad_constants_input_exits_2_before_any_path(self, tmp_path, capsys, monkeypatch,
                                                          key):
@@ -471,7 +497,7 @@ def _reject_constant(name):
 
 
 SMOKE_RUNS = {
-    "simulate-limit": ["--set", "limit.draws=50", "--set", "grid.step=0.04"],
+    "simulate-limit": ["--set", "limit.draws=50"],
     "constants": [
         "--set", "constants.abs_mean_draws=10000", "--set", "constants.cov_draws=500",
         "--set", "grid.step=0.04",

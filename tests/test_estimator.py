@@ -208,13 +208,13 @@ class TestExactnessProperties:
 class TestLeftDerivative:
     def test_single_segment(self):
         s = Sample.from_draws([1.0, 2.0, 3.0], [1, 1, 1])
-        cw, co = _cusums(s)
-        assert [_fitted_value_exact(cw, co, k) for k in (1, 2, 3)] == [1, 1, 1]
+        cw, co, keep = s.diagram
+        assert [_fitted_value_exact(cw, co, keep, k) for k in (1, 2, 3)] == [1, 1, 1]
 
     def test_segment_boundaries_take_left_limit(self):
-        cw, co = _cusums(S4)
-        assert list(_minorant_indices(cw, co)) == [0, 1, 3, 4]
-        vals = [_fitted_value_exact(cw, co, k) for k in (1, 2, 3, 4)]
+        cw, co, keep = S4.diagram
+        assert list(keep) == list(_minorant_indices(cw, co)) == [0, 1, 3, 4]
+        vals = [_fitted_value_exact(cw, co, keep, k) for k in (1, 2, 3, 4)]
         assert vals == [0, Fraction(1, 2), Fraction(1, 2), 1]
 
 

@@ -1,10 +1,13 @@
 """Limit-law samplers: paths, argmin draws, minorant slopes, constants."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 from scipy.stats import chi, kstest
 
 from monotone_wfi.limits import (
@@ -20,8 +23,11 @@ from monotone_wfi.limits import (
     boundary_term,
     brownian_paths,
     chernoff_abs_mean,
+    chernoff_abs_mean_mc,
     chernoff_batch,
     chernoff_cov_integral,
+    chernoff_exact_batch,
+    chernoff_table,
     edge_layer_constant,
     l1_fast_batch,
     local_width,
@@ -41,10 +47,10 @@ LOGISTIC = LinkSpec("logistic")
 UNIFORM = FeatureLaw("uniform", 1.0)
 POLY = FeatureLaw("polynomial", 1.0, (0.5,))
 
-# Monte Carlo references computed once at 2e5 draws on the default grid
-# (seed 20260808): see the reference test below, which regenerates them.
-REF_CHERNOFF_SD = 0.51328
-REF_CHERNOFF_ABS_MEAN = 0.41304
+# The Chernoff law's moments: Var Z as published by Groeneboom & Wellner
+# (2001, JCGS 10), and E|Z| to 13 digits from the Airy density.
+REF_CHERNOFF_VAR = 0.2635596413
+REF_CHERNOFF_ABS_MEAN = 0.4127365501643
 
 COARSE = PathGrid(4.0, 0.004, True)
 COARSE_UNIT = PathGrid(1.0, 0.001, False)
@@ -60,7 +66,7 @@ def _hull_left_slope(s, f, at):
 
 @pytest.fixture(scope="module")
 def chernoff_reference_draws():
-    return chernoff_batch(DEFAULT_TWO_SIDED_GRID, 200_000, 20260808)
+    return chernoff_exact_batch(200_000, 20260808)
 
 
 class TestPathGrid:
@@ -121,16 +127,73 @@ class TestChernoffSampler:
         kurt = np.mean((draws - draws.mean()) ** 4) / sd**4
         ci_half = 1.96 * sd * math.sqrt((kurt - 1.0) / (4.0 * draws.size))
         assert ci_half <= 0.005
-        assert sd == pytest.approx(REF_CHERNOFF_SD, abs=0.004)
+        assert sd == pytest.approx(math.sqrt(REF_CHERNOFF_VAR), abs=0.004)
         assert np.abs(draws).mean() == pytest.approx(REF_CHERNOFF_ABS_MEAN, abs=0.004)
 
     def test_batch_deterministic(self):
         assert chernoff_batch(COARSE, 1, 7)[0] == chernoff_batch(COARSE, 1, 7)[0]
+        assert np.array_equal(chernoff_exact_batch(100, 7), chernoff_exact_batch(100, 7))
+
+    def test_grid_sampler_against_exact_cdf(self):
+        # one-sample KS of the grid draws against the exact law: a uniform
+        # jitter over one grid cell undoes the lattice, and 1.95 / sqrt(m)
+        # is the 0.1% critical value
+        m = 20_000
+        draws = chernoff_batch(COARSE, m, 13)
+        draws = draws + COARSE.step * (stream(14).random(m) - 0.5)
+        assert kstest(draws, chernoff_table().cdf_at).statistic <= 1.95 / math.sqrt(m)
 
     def test_escape_raises_on_mis_set_grid(self):
         g = PathGrid(4.0, 0.04, True)
         with pytest.raises(GridEscapeError, match="last half-width 32.0"):
             argmin_quadratic_batch(g, 4, 3, a=1.0, b=1.0, c=100.0)
+
+
+class TestExactChernoffLaw:
+    """The Airy-function table of the law of argmin(W(s) + s^2)."""
+
+    def test_moments(self):
+        table = chernoff_table()
+        assert abs(table.mass - 1.0) <= 1e-12
+        assert abs(table.var - REF_CHERNOFF_VAR) <= 1e-9
+        assert abs(table.abs_mean - REF_CHERNOFF_ABS_MEAN) <= 1e-10
+        assert chernoff_abs_mean() == table.abs_mean
+
+    def test_cdf_symmetric_and_monotone(self):
+        table = chernoff_table()
+        assert table.cdf_at(0.0) == 0.5
+        x = np.linspace(0.0, 4.5, 901)
+        f = table.cdf_at(x)
+        assert np.all(np.diff(f) >= 0) and abs(f[-1] - 1.0) <= 1e-12
+        assert np.max(np.abs(table.cdf_at(-x) - (1.0 - f))) <= 1e-15
+        assert np.all(table.pdf >= 0)
+
+    def test_cdf_agrees_with_the_density_and_the_moment(self):
+        # Simpson's rule over the grid density, and E|Z| = 2 int_0^4 (1 - F)
+        table = chernoff_table()
+        h, f = table.z[1], table.pdf
+        simpson = np.cumsum(h / 3.0 * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2]))
+        assert np.max(np.abs(0.5 + simpson - table.cdf[2::2])) <= 1e-10
+        tail = 1.0 - table.cdf
+        moment = 2.0 * h / 3.0 * (tail[:-2:2] + 4.0 * tail[1:-1:2] + tail[2::2]).sum()
+        assert moment == pytest.approx(table.abs_mean, abs=1e-10)
+
+    def test_quantile_inverts_the_cdf(self):
+        table = chernoff_table()
+        u = np.array([1e-9, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99, 1 - 1e-4])
+        q = table.quantile(u)
+        assert np.all(np.abs(table.cdf_at(q) - u) <= 1e-9)
+        assert np.all(np.diff(q) > 0) and q[6] == 0.0
+        # 1 - u rounds, and the tail at 1e-9 turns that into a 3e-9 shift in z
+        assert np.max(np.abs(table.quantile(1.0 - u[1:]) + q[1:])) <= 1e-9
+
+    def test_built_once_and_not_at_import(self):
+        assert chernoff_table() is chernoff_table()
+        code = (
+            "import monotone_wfi.cli; from monotone_wfi import limits; "
+            "assert limits.chernoff_table.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestBatchDrivers:
@@ -410,19 +473,20 @@ class TestL1FastSampler:
 class TestMonteCarloConstants:
     def test_abs_mean_requires_bulk(self):
         with pytest.raises(ValueError):
-            chernoff_abs_mean(COARSE, 100, 1)
+            chernoff_abs_mean_mc(100, 1)
 
     def test_abs_mean_se_scaling(self):
-        est1, se1 = chernoff_abs_mean(COARSE, 10_000, 61)
-        est4, se4 = chernoff_abs_mean(COARSE, 40_000, 62)
-        assert est1 > 0 and est4 > 0
+        est1, se1 = chernoff_abs_mean_mc(10_000, 61)
+        est4, se4 = chernoff_abs_mean_mc(40_000, 62)
+        assert abs(est4 - REF_CHERNOFF_ABS_MEAN) <= 4 * se4
         assert se1 / se4 == pytest.approx(2.0, rel=0.2)
 
     def test_abs_mean_stable_under_grid_refinement(self):
-        est_c, se_c = chernoff_abs_mean(COARSE, 20_000, 63)
-        fine = PathGrid(8.0, 0.002, True)
-        est_f, se_f = chernoff_abs_mean(fine, 20_000, 64)
-        assert abs(est_c - est_f) <= 3 * math.hypot(se_c, se_f)
+        # the grid sampler's E|Z| at two steps, against each other
+        coarse = np.abs(chernoff_batch(COARSE, 20_000, 63))
+        fine = np.abs(chernoff_batch(PathGrid(8.0, 0.002, True), 20_000, 64))
+        se = math.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / math.sqrt(20_000)
+        assert abs(coarse.mean() - fine.mean()) <= 3 * se
 
     def test_cov_integral_diagnostics(self):
         g = PathGrid(4.0, 0.008, True)
@@ -451,6 +515,14 @@ class TestCenteringAndVariance:
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
         val = mu_n(scn, 10**12, 1.0, QuadratureCfg(1e-10))
         assert val == pytest.approx(2.0 * 0.5 ** (1 / 3), abs=1e-6)
+
+    def test_affine_clip_points_inside_the_support(self):
+        # kappa_n has a cube-root zero at the clip points x = -0.25, 0.25;
+        # the closed form is 4^(1/3) / 4 * B(1/2, 4/3)
+        scn = Scenario(LinkSpec("affine", 1, (0.5, 2.0)), UNIFORM, 1.0, 0.0)
+        exact = 4 ** (1 / 3) / 4 * beta_fn(0.5, 4 / 3)
+        assert exact == pytest.approx(0.6677476047133829, abs=1e-15)
+        assert mu_n(scn, 2000, 1.0) == pytest.approx(0.6677476047133829, abs=1e-10)
 
     def test_centering_positive_and_linear(self):
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
@@ -499,7 +571,7 @@ class TestSupportBoundaryLayer:
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
         n = 2500
         edge, _ = edge_layer_constant(DEFAULT_EDGE_GRID, 8000, 311)
-        first = mu_n(scn, n, REF_CHERNOFF_ABS_MEAN)
+        first = mu_n(scn, n, chernoff_abs_mean())
         center = first + boundary_term(scn, n, edge)
         phi = scn.phi_fn(n)
         errs = [
@@ -513,7 +585,7 @@ class TestSupportBoundaryLayer:
 
 class TestLimitBatches:
     def test_tags_and_determinism(self):
-        grids = {"scaled_chernoff": COARSE, "fast_w_slope": COARSE_UNIT, "l1_fast_maxA": None}
+        grids = {"scaled_chernoff": None, "fast_w_slope": COARSE_UNIT, "l1_fast_maxA": None}
         for tag, grid in grids.items():
             b1 = sample_limit_batch(tag, 200, 77, link=LOGISTIC, law=UNIFORM, grid=grid)
             b2 = sample_limit_batch(tag, 200, 77, link=LOGISTIC, law=UNIFORM, grid=grid)
