@@ -28,6 +28,7 @@ from .experiments import (
     AuditConfig,
     StudyConfig,
     StudyResult,
+    _g17,
     check_rate_study,
     run_consistency_study,
     run_limit_comparison,
@@ -63,10 +64,6 @@ EXIT_CHECK = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +202,10 @@ def _emit_value(tag: str, value) -> str:
     raise ConfigError(f"unknown config type tag {tag!r}")
 
 
-def parse_config_text(command: str, text: str) -> dict:
-    """Parse a ``key = value`` file against the command's schema."""
+def _config_entries(command: str, text: str) -> dict:
+    """The keys a ``key = value`` file sets, checked against the command's schema."""
     schema = SCHEMAS[command]
-    cfg = {k: v for k, (_, v) in schema.items()}
+    given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -219,8 +216,13 @@ def parse_config_text(command: str, text: str) -> dict:
         key = key.strip()
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r} for {command}")
-        cfg[key] = _parse_value(schema[key][0], raw)
-    return cfg
+        given[key] = _parse_value(schema[key][0], raw)
+    return given
+
+
+def parse_config_text(command: str, text: str) -> dict:
+    """Parse a ``key = value`` file against the command's schema."""
+    return {**{k: v for k, (_, v) in SCHEMAS[command].items()}, **_config_entries(command, text)}
 
 
 def emit_config_text(command: str, cfg: dict | None = None) -> str:
@@ -233,8 +235,18 @@ def emit_config_text(command: str, cfg: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_overrides(command: str, cfg: dict, args) -> dict:
+def _apply_overrides(command: str, given: dict, args) -> dict:
+    """The schema defaults, ``MONOTONE_WFI_SEED`` for the default seed, then
+    the config file's keys ``given``, ``--set`` and the flags, each over the last."""
     schema = SCHEMAS[command]
+    cfg = {k: v for k, (_, v) in schema.items()}
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed is not None:
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
+    cfg.update(given)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
@@ -245,8 +257,6 @@ def _apply_overrides(command: str, cfg: dict, args) -> dict:
         cfg[key] = _parse_value(schema[key][0], raw)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    elif ENV_SEED in os.environ and "seed" in cfg and cfg["seed"] == schema["seed"][1]:
-        cfg["seed"] = int(os.environ[ENV_SEED])
     if args.threads is not None:
         cfg["threads"] = args.threads
     if args.out is not None:
@@ -625,8 +635,7 @@ def main(argv=None) -> int:
         text = ""
         if args.config:
             text = Path(args.config).read_text(encoding="utf-8")
-        cfg = parse_config_text(args.command, text)
-        cfg = _apply_overrides(args.command, cfg, args)
+        cfg = _apply_overrides(args.command, _config_entries(args.command, text), args)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

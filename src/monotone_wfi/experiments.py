@@ -2,9 +2,10 @@
 
 Every study is deterministic given its config: replicate ``r`` of
 experiment ``e`` at sample size ``n`` draws from the stream
-``(seed_base; e, gamma_code, n, r)``, so serial and worker-pool runs
-produce identical records.  Aggregation sorts by replicate index before
-any reduction.
+``(seed_base; e[, sub], gamma_code, n, r)``, where ``gamma_code`` is
+``round(gamma * 10^6)`` and only the consistency study (``e = 4``) has
+a ``sub`` id: 1 for its Hellinger half, 2 for its sup-norm half.  Serial
+and worker-pool runs produce identical records, in replicate order.
 """
 
 from __future__ import annotations
@@ -52,11 +53,21 @@ _EXP_TAIL = 3
 _EXP_CONSISTENCY = 4
 _EXP_CONSTANTS = 5
 
-REGIMES = ("slow_pointwise", "boundary_pointwise", "fast_pointwise", "fast_l1")
+# study regime -> (scenario regime, limit-law tag at beta = 1)
+REGIMES = {
+    "slow_pointwise": ("slow", "scaled_chernoff"),
+    "boundary_pointwise": ("boundary", "boundary_gbc"),
+    "fast_pointwise": ("fast", "fast_w_slope"),
+    "fast_l1": ("fast", "l1_fast_maxA"),
+}
 
 
-def _gamma_code(gamma: float) -> int:
-    return int(round(gamma * 1_000_000))
+def _regime(scn: Scenario) -> str:
+    """``slow``, ``boundary`` or ``fast`` by the sign of ``1 - 2 beta gamma``, ties within 1e-12."""
+    margin = 1.0 - 2.0 * scn.beta * scn.impact_exponent
+    if abs(margin) <= 1e-12:
+        return "boundary"
+    return "slow" if margin > 0.0 else "fast"
 
 
 def _g17(x: float) -> str:
@@ -134,32 +145,39 @@ class StudyResult:
         return all(bool(v) for v in flags.values())
 
 
-def _resolve_threads(threads: int) -> int:
-    return os.cpu_count() or 1 if threads == 0 else max(1, threads)
+def _chunk(stat, ids: tuple, scn: Scenario, arg, seed_base: int, n: int, reps) -> list[tuple]:
+    """Records ``(n, r, *stat(scn, arg, n, sample))`` for the replicates ``reps``.
+
+    Replicate ``r`` samples from ``stream(seed_base, *ids, gamma_code, n, r)``;
+    ``arg`` holds the statistic's per-size constants.
+    """
+    gcode = int(round(scn.impact_exponent * 1_000_000))
+    out = []
+    for r in reps:
+        sample = draw_sample(scn, n, stream(seed_base, *ids, gcode, n, int(r)))
+        out.append((int(n), int(r), *stat(scn, arg, n, sample)))
+    return out
 
 
-def _run_tasks(fn, tasks: list[tuple], threads: int) -> list:
-    threads = _resolve_threads(threads)
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
-
-
-def _rep_chunks(replicates: int, threads: int) -> list[np.ndarray]:
-    threads = _resolve_threads(threads)
-    chunk = max(1, math.ceil(replicates / (4 * threads))) if threads > 1 else replicates
-    reps = np.arange(replicates)
-    return [reps[i : i + chunk] for i in range(0, replicates, chunk)]
-
-
-def _replicates(fn, heads, cfg: StudyConfig) -> list[tuple]:
-    """Records of ``fn(*head, reps)`` for every head and replicate chunk, in task order."""
+def _replicates(heads, cfg: StudyConfig) -> list[list[tuple]]:
+    """Records of every head ``(stat, ids, scn, arg, n)``: one list per head, in replicate order."""
+    threads = os.cpu_count() or 1 if cfg.threads == 0 else max(1, cfg.threads)
+    size = max(1, math.ceil(cfg.replicates / (4 * threads))) if threads > 1 else cfg.replicates
+    reps = np.arange(cfg.replicates)
+    chunks = [reps[i : i + size] for i in range(0, cfg.replicates, size)]
     tasks = [
-        (*head, reps) for head in heads for reps in _rep_chunks(cfg.replicates, cfg.threads)
+        (stat, ids, scn, arg, cfg.seed_base, n, part)
+        for stat, ids, scn, arg, n in heads
+        for part in chunks
     ]
-    return [rec for part in _run_tasks(fn, tasks, cfg.threads) for rec in part]
+    if threads <= 1 or len(tasks) <= 1:
+        parts = [_chunk(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_chunk, *t) for t in tasks]
+            parts = [f.result() for f in futures]
+    k = len(chunks)
+    return [[rec for part in parts[i : i + k] for rec in part] for i in range(0, len(parts), k)]
 
 
 def fit_loglog_slope(ns, errors) -> tuple[float, float]:
@@ -190,19 +208,11 @@ def expected_rate_slope(gamma: float, beta: int = 1) -> float:
 # rate studies
 
 
-def _rate_chunk(scn: Scenario, x0: float, seed_base: int, n: int, reps: np.ndarray):
+def _rate_stat(scn: Scenario, arg, n: int, sample) -> tuple:
+    x0, phi, target = arg
     t = scn.law.half_width
-    phi = scn.phi_fn(n)
-    target = phi(x0)
-    gcode = _gamma_code(scn.impact_exponent)
-    out = []
-    for r in reps:
-        rng = stream(seed_base, _EXP_RATE, gcode, n, int(r))
-        fit = npmle_fit(draw_sample(scn, n, rng))
-        err_pw = abs(float(fit(x0)) - target)
-        err_l1 = l1_error(fit, phi, "lebesgue", interval=(-t, t))
-        out.append((int(n), int(r), err_pw, err_l1))
-    return out
+    fit = npmle_fit(sample)
+    return abs(float(fit(x0)) - target), l1_error(fit, phi, "lebesgue", interval=(-t, t))
 
 
 def check_rate_study(cfg: StudyConfig) -> None:
@@ -215,9 +225,8 @@ def check_rate_study(cfg: StudyConfig) -> None:
         raise ValueError(
             f"centering needs 0 (off) or at least 10000 draws, got {cfg.centering_draws}"
         )
-    scn = cfg.scenario
-    if 1.0 - 2.0 * scn.beta * scn.impact_exponent > 0.0:  # slow regime
-        limits.check_slow_pointwise(scn.link, cfg.x0)
+    if _regime(cfg.scenario) == "slow":
+        limits.check_slow_pointwise(cfg.scenario.link, cfg.x0)
 
 
 def run_rate_study(cfg: StudyConfig) -> StudyResult:
@@ -234,17 +243,16 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
     check_rate_study(cfg)
     scn = cfg.scenario
     gamma = scn.impact_exponent
-    records = _replicates(_rate_chunk, [(scn, cfg.x0, cfg.seed_base, n) for n in cfg.n_list], cfg)
-    records.sort(key=lambda r: (r[0], r[1]))
-    records = [(gamma,) + r for r in records]
+    heads = []
+    for n in cfg.n_list:
+        phi = scn.phi_fn(n)
+        heads.append((_rate_stat, (_EXP_RATE,), scn, (cfg.x0, phi, phi(cfg.x0)), n))
+    by_n = _replicates(heads, cfg)
+    records = [(gamma,) + r for recs in by_n for r in recs]
 
     ns = np.array(cfg.n_list, dtype=float)
-    med_pw = np.array(
-        [np.median([r[3] for r in records if r[1] == n]) for n in cfg.n_list]
-    )
-    med_l1 = np.array(
-        [np.median([r[4] for r in records if r[1] == n]) for n in cfg.n_list]
-    )
+    med_pw = np.array([np.median([r[2] for r in recs]) for recs in by_n])
+    med_l1 = np.array([np.median([r[3] for r in recs]) for recs in by_n])
     slope_pw, se_pw = fit_loglog_slope(ns, med_pw)
     slope_l1, se_l1 = fit_loglog_slope(ns, med_l1)
     target = expected_rate_slope(gamma, scn.beta)
@@ -276,8 +284,7 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         "flags": flags,
     }
 
-    slow = 1.0 - 2.0 * scn.beta * gamma > 0.0
-    if slow and cfg.centering_draws >= 10_000:
+    if _regime(scn) == "slow" and cfg.centering_draws >= 10_000:
         n_big = cfg.n_list[-1]
         abs_mean = limits.chernoff_abs_mean()
         edge, edge_se = limits.edge_layer_constant(
@@ -289,7 +296,7 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         layer = limits.boundary_term(scn, n_big, edge)
         t = scn.law.half_width
         rate = (n_big / scn.delta(n_big)) ** (1.0 / 3.0)
-        mean_scaled = float(np.mean([rate * r[4] for r in records if r[1] == n_big]))
+        mean_scaled = float(np.mean([rate * r[3] for r in by_n[-1]]))
         summary["centering"] = {
             "n": n_big,
             "abs_mean": abs_mean,
@@ -318,44 +325,14 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
 # limit-law comparison
 
 
-def _limit_stat_chunk(
-    scn: Scenario, x0: float, seed_base: int, regime: str, n: int, reps: np.ndarray
-):
-    gcode = _gamma_code(scn.impact_exponent)
-    delta = scn.delta(n)
-    phi = scn.phi_fn(n)
-    target = phi(x0)
-    out = []
-    for r in reps:
-        rng = stream(seed_base, _EXP_LIMIT, gcode, n, int(r))
-        s = draw_sample(scn, n, rng)
-        fit = npmle_fit(s)
-        if regime == "slow_pointwise":
-            stat = (n / delta) ** (scn.beta / (2.0 * scn.beta + 1.0)) * (
-                float(fit(x0)) - target
-            )
-        elif regime in ("boundary_pointwise", "fast_pointwise"):
-            stat = math.sqrt(n) * (float(fit(x0)) - target)
-        else:  # fast_l1
-            stat = math.sqrt(n) * l1_error(fit, phi, "empirical", sample=s)
-        out.append((int(n), int(r), float(stat)))
-    return out
+def _pointwise_stat(scn: Scenario, arg, n: int, sample) -> tuple:
+    scale, x0, _, target = arg
+    return (float(scale * (float(npmle_fit(sample)(x0)) - target)),)
 
 
-def _check_regime(scn: Scenario, regime: str) -> None:
-    margin = 1.0 - 2.0 * scn.beta * scn.impact_exponent
-    slow = margin > 1e-12
-    boundary = abs(margin) <= 1e-12
-    ok = (
-        (regime == "slow_pointwise" and slow)
-        or (regime == "boundary_pointwise" and boundary)
-        or (regime in ("fast_pointwise", "fast_l1") and margin < -1e-12)
-    )
-    if not ok:
-        raise ValueError(
-            f"regime {regime!r} is inconsistent with gamma={scn.impact_exponent} "
-            f"and flatness order {scn.beta}"
-        )
+def _l1_stat(scn: Scenario, arg, n: int, sample) -> tuple:
+    scale, _, phi, _ = arg
+    return (float(scale * l1_error(npmle_fit(sample), phi, "empirical", sample=sample)),)
 
 
 def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
@@ -363,16 +340,17 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
     if cfg.regime is None:
         raise ValueError("limit comparison needs a regime")
     scn = cfg.scenario
-    _check_regime(scn, cfg.regime)
+    scn_regime, tag = REGIMES[cfg.regime]
+    if _regime(scn) != scn_regime:
+        raise ValueError(
+            f"regime {cfg.regime!r} is inconsistent with gamma={scn.impact_exponent} "
+            f"and flatness order {scn.beta}"
+        )
     if cfg.limit_draws < 1:
         raise ValueError(f"limit comparison needs at least 1 limit draw, got {cfg.limit_draws}")
     gamma = scn.impact_exponent
-    tag = {
-        "slow_pointwise": "scaled_chernoff" if scn.beta == 1 else "slow_fbeta",
-        "boundary_pointwise": "boundary_gbc",
-        "fast_pointwise": "fast_w_slope",
-        "fast_l1": "l1_fast_maxA",
-    }[cfg.regime]
+    if tag == "scaled_chernoff" and scn.beta != 1:
+        tag = "slow_fbeta"
 
     # the limit law does not depend on n: the boundary regime pins gamma to
     # 1/(2 beta), so c = n delta_n^(2 beta) is impact_scale^(2 beta) for
@@ -390,15 +368,18 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         c=c,
     ).draws
 
-    stats = _replicates(
-        _limit_stat_chunk, [(scn, cfg.x0, cfg.seed_base, cfg.regime, n) for n in cfg.n_list], cfg
-    )
-    stats.sort(key=lambda r: (r[0], r[1]))
+    stat = _l1_stat if cfg.regime == "fast_l1" else _pointwise_stat
+    exponent = scn.beta / (2.0 * scn.beta + 1.0)
+    heads = []
+    for n in cfg.n_list:
+        phi = scn.phi_fn(n)
+        scale = (n / scn.delta(n)) ** exponent if scn_regime == "slow" else math.sqrt(n)
+        heads.append((stat, (_EXP_LIMIT,), scn, (scale, cfg.x0, phi, phi(cfg.x0)), n))
     records: list[tuple] = []
     extras: dict = {"finite": {}, "limit": {}}
     ks_by_n: dict[int, float] = {}
-    for n in cfg.n_list:
-        finite = np.array([s[2] for s in stats if s[0] == n])
+    for n, stats in zip(cfg.n_list, _replicates(heads, cfg)):
+        finite = np.array([s[2] for s in stats])
         ks = ks_two_sample(finite, draws)
         ks_by_n[n] = ks
         records.append((cfg.regime, int(n), gamma, ks, len(finite), len(draws)))
@@ -527,18 +508,10 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
 # inverse-process tail probe
 
 
-def _tail_chunk(scn: Scenario, x0: float, seed_base: int, n: int, reps: np.ndarray):
-    gcode = _gamma_code(scn.impact_exponent)
-    phi = scn.phi_fn(n)
-    a = phi(x0)
-    lam_inv = float(scn.law.cdf(phi.inverse(a)))
-    out = []
-    for r in reps:
-        rng = stream(seed_base, _EXP_TAIL, gcode, n, int(r))
-        s = draw_sample(scn, n, rng)
-        grid_t, _ = inverse_process(s, a)
-        out.append((int(n), int(r), abs(grid_t - lam_inv)))
-    return out
+def _tail_stat(scn: Scenario, arg, n: int, sample) -> tuple:
+    a, lam_inv = arg
+    grid_t, _ = inverse_process(sample, a)
+    return (abs(grid_t - lam_inv),)
 
 
 def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
@@ -550,20 +523,23 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
     ``-(1 - 2 gamma) / 3`` in the slow regime.
     """
     scn = cfg.scenario
-    if 1.0 - 2.0 * scn.beta * scn.impact_exponent <= 0:
+    if _regime(scn) != "slow":
         raise ValueError("the tail probe is a slow-regime instrument")
     if len(cfg.n_list) < 3:
         raise ValueError(
             f"tail probe needs at least 3 sample sizes for its slope fit, got {len(cfg.n_list)}"
         )
     gamma = scn.impact_exponent
-    records = _replicates(_tail_chunk, [(scn, cfg.x0, cfg.seed_base, n) for n in cfg.n_list], cfg)
-    records.sort(key=lambda r: (r[0], r[1]))
+    heads = []
+    for n in cfg.n_list:
+        phi = scn.phi_fn(n)
+        a = phi(cfg.x0)
+        heads.append((_tail_stat, (_EXP_TAIL,), scn, (a, float(scn.law.cdf(phi.inverse(a)))), n))
+    by_n = _replicates(heads, cfg)
+    records = [r for recs in by_n for r in recs]
 
     ns = np.array(cfg.n_list, dtype=float)
-    devs_by_n = {
-        n: np.array([r[2] for r in records if r[0] == n]) for n in cfg.n_list
-    }
+    devs_by_n = {n: np.array([r[2] for r in recs]) for n, recs in zip(cfg.n_list, by_n)}
     medians = np.array([np.median(devs_by_n[n]) for n in cfg.n_list])
     slope, se = fit_loglog_slope(ns, medians)
     target = -(1.0 - 2.0 * gamma) / 3.0
@@ -609,23 +585,13 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
 # consistency behaviors
 
 
-def _consistency_chunk(
-    scn: Scenario, check: str, seed_base: int, n: int, reps: np.ndarray
-):
-    gcode = _gamma_code(scn.impact_exponent)
+def _hellinger_stat(scn: Scenario, phi, n: int, sample) -> tuple:
+    return (float(hellinger(npmle_fit(sample), phi, scn.law, QuadratureCfg(1e-8))),)
+
+
+def _supnorm_stat(scn: Scenario, phi, n: int, sample) -> tuple:
     t = scn.law.half_width
-    phi = scn.phi_fn(n)
-    sub = 1 if check == "hellinger" else 2
-    out = []
-    for r in reps:
-        rng = stream(seed_base, _EXP_CONSISTENCY, sub, gcode, n, int(r))
-        fit = npmle_fit(draw_sample(scn, n, rng))
-        if check == "hellinger":
-            val = hellinger(fit, phi, scn.law, QuadratureCfg(1e-8))
-        else:
-            val = sup_norm_on(fit, phi, (-t / 2.0, t / 2.0))
-        out.append((check, scn.impact_exponent, int(n), int(r), float(val)))
-    return out
+    return (float(sup_norm_on(npmle_fit(sample), phi, (-t / 2.0, t / 2.0))),)
 
 
 def run_consistency_study(
@@ -644,35 +610,32 @@ def run_consistency_study(
         raise ValueError(
             f"hellinger_ns must be two strictly increasing sizes, got {tuple(hellinger_ns)}"
         )
-    base = cfg.scenario
-    fixed = replace(base, impact_exponent=0.0)
-    heads = [(fixed, "hellinger", cfg.seed_base, n) for n in hellinger_ns]
+    fixed = replace(cfg.scenario, impact_exponent=0.0)
+    heads = [
+        (_hellinger_stat, (_EXP_CONSISTENCY, 1), fixed, fixed.phi_fn(n), n) for n in hellinger_ns
+    ]
     for gamma in sup_gammas:
-        scn = replace(base, impact_exponent=gamma)
-        heads.extend((scn, "supnorm", cfg.seed_base, n) for n in cfg.n_list)
-    records = _replicates(_consistency_chunk, heads, cfg)
+        scn = replace(cfg.scenario, impact_exponent=gamma)
+        heads += [(_supnorm_stat, (_EXP_CONSISTENCY, 2), scn, scn.phi_fn(n), n) for n in cfg.n_list]
+    by_head = _replicates(heads, cfg)
+    records = [
+        ("hellinger" if stat is _hellinger_stat else "supnorm", scn.impact_exponent, *rec)
+        for (stat, _, scn, _, _), recs in zip(heads, by_head)
+        for rec in recs
+    ]
+    # sup_gammas come in the caller's order; the records go by (check, gamma, n, r)
     records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
 
-    def med(check: str, gamma: float, n: int) -> float:
-        vals = [
-            r[4]
-            for r in records
-            if r[0] == check and r[1] == gamma and r[2] == n
-        ]
-        return float(np.median(vals))
-
-    h_small = med("hellinger", 0.0, hellinger_ns[0])
-    h_big = med("hellinger", 0.0, hellinger_ns[1])
+    meds = [float(np.median([r[2] for r in recs])) for recs in by_head]
+    h_small, h_big = meds[:2]
     ratio = h_big / h_small
     rtol = float(cfg.tolerances.get("hellinger_ratio", 0.55))
     flags = {"hellinger_ratio": ratio <= rtol}
     sup_medians = {}
-    for gamma in sup_gammas:
-        meds = [med("supnorm", gamma, n) for n in cfg.n_list]
-        sup_medians[str(gamma)] = meds
-        flags[f"supnorm_decreasing_gamma{gamma}"] = all(
-            b < a for a, b in zip(meds, meds[1:])
-        )
+    k = len(cfg.n_list)
+    for i, gamma in enumerate(sup_gammas):
+        sup_medians[str(gamma)] = m = meds[2 + i * k : 2 + (i + 1) * k]
+        flags[f"supnorm_decreasing_gamma{gamma}"] = all(b < a for a, b in zip(m, m[1:]))
     manifest = {
         "study": "consistency",
         "hellinger_ns": list(hellinger_ns),

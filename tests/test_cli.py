@@ -369,6 +369,26 @@ class TestStudyCommands:
         meta = json.loads(_read(out / "limit_batch.meta.json"))
         assert meta["seed"] == 999
 
+    def test_env_seed_never_overrides_an_explicit_seed(self, tmp_path, monkeypatch):
+        # the variable replaces the schema default only, even where a seed equals it
+        monkeypatch.setenv("MONOTONE_WFI_SEED", "5")
+        cfg_path = tmp_path / "cfg"
+        _write(cfg_path, "seed = 20260808\nlimit.draws = 50\n")
+        runs = {
+            "set": ["--set", "seed=20260808", "--set", "limit.draws=50"],
+            "file": ["--config", str(cfg_path)],
+        }
+        for name, extra in runs.items():
+            assert main(["simulate-limit", "--out", str(tmp_path / name), *extra]) == 0
+            meta = json.loads(_read(tmp_path / name / "limit_batch.meta.json"))
+            assert meta["seed"] == 20260808, name
+
+    def test_env_seed_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MONOTONE_WFI_SEED", "abc")
+        code = main(["simulate-limit", "--out", str(tmp_path / "o"), "--set", "limit.draws=50"])
+        assert code == 2
+        assert "MONOTONE_WFI_SEED" in capsys.readouterr().err
+
     def test_emit_config_command(self, capsys):
         assert main(["emit-config", "rate-study"]) == 0
         text = capsys.readouterr().out

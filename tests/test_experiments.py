@@ -15,7 +15,10 @@ from monotone_wfi.experiments import (
     run_tail_bound_probe,
 )
 from monotone_wfi import experiments
-from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario
+from monotone_wfi.estimator import inverse_process, npmle_fit
+from monotone_wfi.metrics import QuadratureCfg, hellinger, l1_error, sup_norm_on
+from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
+from monotone_wfi.streams import stream
 
 LOGISTIC = LinkSpec("logistic")
 UNIFORM = FeatureLaw("uniform", 1.0)
@@ -352,3 +355,157 @@ class TestConsistencyStudy:
         assert res.manifest["flags"]["supnorm_decreasing_gamma0.25"] == (
             meds[2] < meds[1] < meds[0]
         )
+
+
+class TestOneRegimeRule:
+    """Every study reads slow, boundary or fast from one rule with a 1e-12 tie band."""
+
+    # beta = 1, gamma = 1/2 - 1e-13: the margin 1 - 2 beta gamma is 2e-13
+    NEAR_BOUNDARY = Scenario(LOGISTIC, UNIFORM, 1.0, 0.5 - 1e-13)
+
+    def test_tail_probe_rejects_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a replicate ran before the regime check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        with pytest.raises(ValueError, match="slow-regime"):
+            run_tail_bound_probe(StudyConfig(self.NEAR_BOUNDARY, (64, 128, 256), 50))
+
+    def test_rate_study_runs_no_slow_centering(self, monkeypatch):
+        def no_centering(*args):
+            raise AssertionError("the slow-regime centering ran")
+
+        monkeypatch.setattr(experiments.limits, "edge_layer_constant", no_centering)
+        cfg = StudyConfig(self.NEAR_BOUNDARY, (64, 128, 256), 50, centering_draws=10_000)
+        res = run_rate_study(cfg)
+        assert "centering" not in res.summary and "centering" not in res.manifest
+
+    def test_limit_comparison_reads_boundary(self):
+        for regime in ("slow_pointwise", "fast_pointwise"):
+            with pytest.raises(ValueError, match="inconsistent"):
+                run_limit_comparison(
+                    StudyConfig(self.NEAR_BOUNDARY, (200,), 50, regime=regime, limit_draws=10)
+                )
+        cfg = StudyConfig(
+            self.NEAR_BOUNDARY, (200,), 50, regime="boundary_pointwise", limit_draws=50
+        )
+        assert run_limit_comparison(cfg).records[0][0] == "boundary_pointwise"
+
+
+def _gamma_code(gamma):
+    return round(gamma * 10**6)
+
+
+class TestStreamLayout:
+    """Replicate r of experiment e draws from (seed_base; e[, sub], gamma_code, n, r)."""
+
+    def test_rate_study(self):
+        scn = _scn(0.25)
+        res = run_rate_study(
+            StudyConfig(scn, (64, 128, 256), 50, x0=0.1, seed_base=17, threads=2,
+                        centering_draws=0)
+        )
+        n, r = 128, 37
+        fit = npmle_fit(draw_sample(scn, n, stream(17, 1, _gamma_code(0.25), n, r)))
+        phi = scn.phi_fn(n)
+        pointwise = abs(float(fit(0.1)) - phi(0.1))
+        l1 = l1_error(fit, phi, "lebesgue", interval=(-1.0, 1.0))
+        assert (0.25, n, r, pointwise, l1) in res.records
+
+    @pytest.mark.parametrize("gamma, regime", [(0.25, "slow_pointwise"), (0.8, "fast_l1")])
+    def test_limit_comparison(self, gamma, regime):
+        scn = _scn(gamma)
+        cfg = StudyConfig(
+            scn, (200, 400), 50, x0=0.2, seed_base=5, threads=2, regime=regime,
+            limit_draws=100,
+        )
+        res = run_limit_comparison(cfg)
+        n, r = 400, 29
+        sample = draw_sample(scn, n, stream(5, 2, _gamma_code(gamma), n, r))
+        fit = npmle_fit(sample)
+        phi = scn.phi_fn(n)
+        if regime == "slow_pointwise":
+            stat = (n / scn.delta(n)) ** (1.0 / 3.0) * (float(fit(0.2)) - phi(0.2))
+        else:
+            stat = np.sqrt(n) * l1_error(fit, phi, "empirical", sample=sample)
+        assert res.extras["finite"][n][r] == float(stat)
+
+    def test_tail_probe(self):
+        scn = Scenario(LOGISTIC, FeatureLaw("polynomial", 1.0, (0.5,)), 1.0, 0.25)
+        res = run_tail_bound_probe(
+            StudyConfig(scn, (64, 128, 256), 50, x0=-0.3, seed_base=3, threads=2)
+        )
+        n, r = 256, 11
+        sample = draw_sample(scn, n, stream(3, 3, _gamma_code(0.25), n, r))
+        phi = scn.phi_fn(n)
+        level = phi(-0.3)
+        grid_t, _ = inverse_process(sample, level)
+        deviation = abs(grid_t - float(scn.law.cdf(phi.inverse(level))))
+        assert (n, r, deviation) in res.records
+
+    def test_consistency_halves(self):
+        res = run_consistency_study(
+            StudyConfig(_scn(0.25), (64, 128, 256), 50, seed_base=9, threads=2),
+            hellinger_ns=(100, 200),
+            sup_gammas=(0.8, 0.25),
+        )
+        fixed = _scn(0.0)
+        n, r = 200, 3
+        fit = npmle_fit(draw_sample(fixed, n, stream(9, 4, 1, _gamma_code(0.0), n, r)))
+        value = hellinger(fit, fixed.phi_fn(n), UNIFORM, QuadratureCfg(1e-8))
+        assert ("hellinger", 0.0, n, r, value) in res.records
+        scn = _scn(0.8)
+        n, r = 128, 44
+        fit = npmle_fit(draw_sample(scn, n, stream(9, 4, 2, _gamma_code(0.8), n, r)))
+        value = sup_norm_on(fit, scn.phi_fn(n), (-0.5, 0.5))
+        assert ("supnorm", 0.8, n, r, value) in res.records
+        # the caller's gamma order does not reach the records
+        gammas = [rec[1] for rec in res.records if rec[0] == "supnorm"]
+        assert gammas == sorted(gammas)
+
+
+class TestTracedNames:
+    """The benchmark tracer wraps these module globals; every replicate must call them."""
+
+    NAMES = ("draw_sample", "npmle_fit", "inverse_process", "l1_error", "stream")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _fn=getattr(experiments, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        return counts
+
+    def test_rate_study(self, calls):
+        run_rate_study(StudyConfig(_scn(0.25), (64, 128, 256), 50, centering_draws=0))
+        assert calls == {
+            "draw_sample": 150, "npmle_fit": 150, "inverse_process": 0, "l1_error": 150,
+            "stream": 150,
+        }
+
+    def test_limit_comparison(self, calls):
+        cfg = StudyConfig(_scn(0.8), (200, 400), 50, regime="fast_l1", limit_draws=100)
+        run_limit_comparison(cfg)
+        assert calls == {
+            "draw_sample": 100, "npmle_fit": 100, "inverse_process": 0, "l1_error": 100,
+            "stream": 100,
+        }
+
+    def test_tail_probe(self, calls):
+        run_tail_bound_probe(StudyConfig(_scn(0.25), (64, 128, 256), 50))
+        assert calls == {
+            "draw_sample": 150, "npmle_fit": 0, "inverse_process": 150, "l1_error": 0,
+            "stream": 150,
+        }
+
+    def test_consistency(self, calls):
+        cfg = StudyConfig(_scn(0.25), (64, 128, 256), 50)
+        run_consistency_study(cfg, hellinger_ns=(100, 200), sup_gammas=(0.25,))
+        assert calls == {
+            "draw_sample": 250, "npmle_fit": 250, "inverse_process": 0, "l1_error": 0,
+            "stream": 250,
+        }
