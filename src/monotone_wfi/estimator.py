@@ -230,6 +230,28 @@ def _inverse_index(cw: np.ndarray, co: np.ndarray, a: float) -> int:
     return int(near[max(k for k, key in enumerate(keys) if key == best)])
 
 
+def _vertex_inverse_index(cw: np.ndarray, co: np.ndarray, keep: np.ndarray, a: float) -> int:
+    """:func:`_inverse_index` searched among the minorant's vertices ``keep`` only.
+
+    ``co - a * cw`` is smallest on the minorant, and its largest minimizer
+    ends the last minorant segment of slope at most ``a``: a vertex.  The
+    segment slopes strictly increase, so a bisection finds that segment,
+    comparing each slope with ``a`` cross-multiplied in integers.
+    """
+    if not 0.0 <= a <= 1.0:
+        raise ValueError("level a must lie in [0, 1]")
+    num, den = Fraction(a).as_integer_ratio()
+    lo, hi = 0, keep.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        b, e = keep[mid], keep[mid + 1]
+        if int(co[e] - co[b]) * den <= num * int(cw[e] - cw[b]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return int(keep[lo])
+
+
 def _fitted_value_exact(cw: np.ndarray, co: np.ndarray, keep: np.ndarray, k: int) -> Fraction:
     """Fitted value at the k-th block as an exact ratio of counts (0 at k = 0).
 
@@ -250,12 +272,12 @@ def switch_check(s: Sample, x: float, a: float) -> dict:
     exact rational arithmetic, so the equivalence holds for every ``x``
     within the sample range and every ``a`` in [0, 1], ties included.
     The cusums and the minorant come from ``s.diagram``, built once per
-    sample.
+    sample, and the inverse is searched among the minorant's vertices.
     """
     cw, co, keep = s.diagram
     k = int(np.searchsorted(s.xs, x, side="right"))
     lhs = _fitted_value_exact(cw, co, keep, k) > Fraction(a)
-    rhs = _inverse_index(cw, co, a) < k
+    rhs = _vertex_inverse_index(cw, co, keep, a) < k
     return {"lhs": bool(lhs), "rhs": bool(rhs)}
 
 

@@ -610,6 +610,8 @@ def run_consistency_study(
         raise ValueError(
             f"hellinger_ns must be two strictly increasing sizes, got {tuple(hellinger_ns)}"
         )
+    if len(set(sup_gammas)) < len(sup_gammas):
+        raise ValueError(f"sup_gammas must be without repeats, got {tuple(sup_gammas)}")
     fixed = replace(cfg.scenario, impact_exponent=0.0)
     heads = [
         (_hellinger_stat, (_EXP_CONSISTENCY, 1), fixed, fixed.phi_fn(n), n) for n in hellinger_ns

@@ -1,13 +1,16 @@
 """Samplers for every limit law arising in the weak-impact scenario.
 
 All samplers are pure functions of (parameters, grid, seed) and draw a
-whole batch.  The fast-regime L1 law and the Chernoff law are drawn
-exactly, the latter by inversion of its Airy-function CDF
-(:func:`chernoff_table`); the others discretize Gaussian paths on a
-fixed grid, in chunks of ``_CHUNK`` paths (:func:`_chunked`).
-Slope-type laws are the left slopes of the greatest convex minorant of a
-simulated path: the isotonic fit of the path increments, checked in the
-tests against the monotone stack.
+whole batch.  Three laws are drawn exactly: the Chernoff law by inversion
+of its Airy-function CDF (:func:`chernoff_table`), the fast-regime L1 law
+as a chi_3 norm, and the fast-regime pointwise law from the stick-breaking
+faces of the minorant of W (:func:`fast_slope_batch`).  The others
+discretize Gaussian paths on a fixed grid, in chunks of ``_CHUNK`` paths
+(:func:`_chunked`).  Slope-type laws on a grid are the left slopes of the
+greatest convex minorant of a simulated path: the isotonic fit of the
+path increments (:func:`_minorant_slopes`), checked in the tests against
+the monotone stack.  The covariance integral reads every shifted argmin
+off the same minorant.
 
 Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
 samplers live on a two-sided window [-S, S] with a confining drift; an
@@ -53,6 +56,7 @@ __all__ = [
     "boundary_drift",
     "boundary_limit_batch",
     "l1_fast_batch",
+    "fast_slope_batch",
     "chernoff_abs_mean",
     "chernoff_abs_mean_mc",
     "check_cov_integral_args",
@@ -111,7 +115,7 @@ LAW_GRIDS: dict[str, PathGrid | None] = {
     "scaled_chernoff": None,
     "slow_fbeta": DEFAULT_TWO_SIDED_GRID,
     "boundary_gbc": DEFAULT_UNIT_GRID,
-    "fast_w_slope": DEFAULT_UNIT_GRID,
+    "fast_w_slope": None,
     "l1_fast_maxA": None,
 }
 LAW_TAGS = tuple(LAW_GRIDS)
@@ -332,24 +336,33 @@ def chernoff_exact_batch(m: int, seed_or_rng) -> np.ndarray:
 # greatest-convex-minorant slope samplers
 
 
+def _minorant_slopes(paths: np.ndarray, step: float):
+    """Each path's greatest convex minorant: ``(slopes, blocks)`` path by path.
+
+    The isotonic fit of a path's increments is the grid step times the
+    minorant's slope over each increment; ``blocks`` holds the fit's block
+    starts followed by the increment count: the minorant's vertex indices.
+    """
+    for path in paths:  # one row of increments at a time: no second path-sized array
+        res = isotonic_regression(np.diff(path))
+        yield res.x / step, res.blocks
+
+
 def _gcm_slope_batch(
     paths: np.ndarray, slot: int, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Isotonic route: left minorant slope at increment ``slot`` per path.
+    """Left minorant slope at increment ``slot`` per path.
 
-    The isotonic fit of the path increments equals the minorant slopes
-    scaled by the grid step.  Returns the slopes and a flag marking paths
-    whose minorant block at ``slot`` touches the grid boundary (window
-    too small to localize the slope).
+    Returns the slopes and a flag marking paths whose minorant block at
+    ``slot`` touches the grid boundary (window too small to localize the
+    slope).
     """
     m, npts = paths.shape
     n_inc = npts - 1
     out = np.empty(m)
     touched = np.zeros(m, dtype=bool)
-    for i in range(m):
-        res = isotonic_regression(np.diff(paths[i]))
-        out[i] = res.x[slot] / step
-        blocks = res.blocks
+    for i, (slopes, blocks) in enumerate(_minorant_slopes(paths, step)):
+        out[i] = slopes[slot]
         b = int(np.searchsorted(blocks, slot, side="right")) - 1
         touched[i] = blocks[b] == 0 or blocks[b + 1] == n_inc
     return out, touched
@@ -454,10 +467,12 @@ def boundary_limit_batch(
     m: int,
     seed_or_rng,
 ) -> np.ndarray:
-    """Boundary-case pointwise limit draws (c = 0 gives the fast regime).
+    """Boundary-case pointwise limit draws on a grid.
 
     Left slope at ``F_X(x0)`` of the greatest convex minorant of
-    ``noise_scale * W + drift`` on [0, 1].
+    ``noise_scale * W + drift`` on [0, 1].  At ``c = 0`` this is the
+    fast-regime law, which :func:`fast_slope_batch` draws exactly; the grid
+    route stays as an independent check of it.
     """
     if grid.two_sided or abs(grid.half_width - 1.0) > 1e-12:
         raise ValueError("boundary sampler needs a one-sided grid on [0, 1]")
@@ -487,6 +502,68 @@ def l1_fast_batch(link: LinkSpec, m: int, seed_or_rng) -> np.ndarray:
     """
     rng = _as_rng(seed_or_rng)
     return link.noise_scale * np.linalg.norm(rng.standard_normal((m, 3)), axis=1)
+
+
+# sticks broken per round of the exact fast-regime slope sampler: the
+# leftover after 48 breaks is about e^-48 of [0, 1]
+_STICKS = 48
+
+
+def _break_sticks(left: np.ndarray, rng: np.random.Generator):
+    """``_STICKS`` more faces of the minorant of W on [0, 1], per row of ``left``.
+
+    Uniform stick-breaking of each leftover length, with one standard
+    normal per face: returns the face lengths, their slopes ``Z / sqrt(l)``
+    and the new leftovers.
+    """
+    u = rng.random((left.size, _STICKS))
+    rest = left[:, None] * np.cumprod(1.0 - u, axis=1)
+    lengths = np.concatenate((left[:, None], rest[:, :-1]), axis=1) * u
+    return lengths, rng.standard_normal(lengths.shape) / np.sqrt(lengths), rest[:, -1]
+
+
+def fast_slope_batch(
+    link: LinkSpec, law: FeatureLaw, x0: float, m: int, seed_or_rng
+) -> np.ndarray:
+    """Exact fast-regime pointwise limit draws, with no grid.
+
+    The law is the left slope at ``t0 = F_X(x0)`` of the greatest convex
+    minorant of ``noise_scale * W`` on [0, 1].  Pitman & Uribe Bravo (2012)
+    give that minorant exactly: face lengths by uniform stick-breaking, face
+    increments ``sqrt(l) Z``, faces laid out in increasing order of slope.
+    The draw is the slope of the face whose ``(start, end]`` holds ``t0``.
+
+    The faces not yet broken off (the leftover) have unknown slopes, so
+    they can only move a face later, by at most the leftover length.  In
+    the layout without the leftover, the face ending at or after ``t0``
+    certainly holds it once its start lies more than the leftover before
+    ``t0``; until then the draw's leftover is broken further, ``_STICKS``
+    faces at a time.
+    """
+    t0 = float(law.cdf(x0))
+    rng = _as_rng(seed_or_rng)
+
+    def draw(k: int) -> np.ndarray:
+        out = np.empty(k)
+        pending = np.arange(k)
+        lengths, slopes, left = _break_sticks(np.ones(k), rng)
+        while True:
+            order = np.argsort(slopes, axis=1)
+            ends = np.cumsum(np.take_along_axis(lengths, order, axis=1), axis=1)
+            face = np.minimum((ends < t0).sum(axis=1), ends.shape[1] - 1)
+            rows = np.arange(face.size)
+            start = np.where(face > 0, ends[rows, face - 1], 0.0)
+            kept = (ends[rows, face] >= t0) & (t0 - start > left)
+            out[pending[kept]] = slopes[rows, order[rows, face]][kept]
+            if kept.all():
+                return link.noise_scale * out
+            more = ~kept
+            pending = pending[more]
+            new_lengths, new_slopes, left = _break_sticks(left[more], rng)
+            lengths = np.concatenate((lengths[more], new_lengths), axis=1)
+            slopes = np.concatenate((slopes[more], new_slopes), axis=1)
+
+    return _chunked(m, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +615,8 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
     def draw(k: int) -> np.ndarray:
         p = brownian_paths(grid, k, rng)
         p += drift
-        inc = np.diff(p, axis=1)
         excess = np.empty(k)
-        for i in range(k):
-            slopes = isotonic_regression(inc[i]).x / grid.step
+        for i, (slopes, _) in enumerate(_minorant_slopes(p, grid.step)):
             profile = 0.5 * np.abs(slopes - twice_mid)
             level = profile[lo:hi].mean()
             excess[i] = grid.step * (profile[:half].sum() - half * level)
@@ -594,6 +669,8 @@ def chernoff_cov_integral(
 
     ``X(a)`` is the argmin of ``Z(s) + (s - a)^2``; all shifts reuse one
     path per draw, since the covariance couples shifts within a path.
+    Up to the constant ``a^2`` that is ``f(s) - 2 a s`` with ``f = Z + s^2``,
+    so one minorant of ``f`` per path gives every shift's largest minimizer.
     The window is enlarged internally by ``a_max`` so shifted minimizers
     stay away from the boundary.
     """
@@ -605,16 +682,19 @@ def chernoff_cov_integral(
     a_values = a_step * np.arange(n_a)
 
     def draw(k: int) -> np.ndarray:
-        z = brownian_paths(big, k, rng)
+        f = brownian_paths(big, k, rng)
+        f += s * s
         shift = np.empty((k, n_a))
-        for j, a in enumerate(a_values):
-            x_a = s[_argmin_last(z + (s - a) ** 2)]
+        for i, (slopes, _) in enumerate(_minorant_slopes(f, big.step)):
+            # the largest minimizer of f(s) - 2 a s ends the last increment
+            # whose minorant slope is at most 2 a
+            x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
             if np.any(np.abs(x_a) > 0.9 * big.half_width):
                 raise GridEscapeError(
                     "shifted argmin reached the enlarged window boundary; "
                     "increase the base grid half-width"
                 )
-            shift[:, j] = np.abs(x_a - a)
+            shift[i] = np.abs(x_a - a_values)
         return shift
 
     abs_shift = _chunked(m, draw)
@@ -746,8 +826,8 @@ def sample_limit_batch(
 ) -> LimitBatch:
     """Tagged batch of ``m`` draws on ``grid``, by default the law's own window.
 
-    ``scaled_chernoff`` and ``l1_fast_maxA`` are exact and take no grid
-    (:data:`LAW_GRIDS`).
+    ``scaled_chernoff``, ``fast_w_slope`` and ``l1_fast_maxA`` are exact and
+    take no grid (:data:`LAW_GRIDS`).
     ``beta`` must equal ``link.beta``.  Every other tag uses ``x0``, which
     must be interior to the feature support.
     """
@@ -774,7 +854,7 @@ def sample_limit_batch(
         draws = boundary_limit_batch(c, link, law, x0, grid, m, rng)
         params["c"] = c
     elif law_tag == "fast_w_slope":
-        draws = boundary_limit_batch(0.0, link, law, x0, grid, m, rng)
+        draws = fast_slope_batch(link, law, x0, m, rng)
     else:  # l1_fast_maxA
         draws = l1_fast_batch(link, m, rng)
         params.pop("x0")

@@ -206,10 +206,11 @@ class TestSimulateLimit:
     @pytest.mark.parametrize(
         "tag, key",
         [("l1_fast_maxA", "grid.step=0.002"), ("scaled_chernoff", "grid.step=0.002"),
-         ("scaled_chernoff", "grid.half_width=8.0"), ("fast_w_slope", "grid.half_width=4.0")],
+         ("scaled_chernoff", "grid.half_width=8.0"), ("fast_w_slope", "grid.step=0.002"),
+         ("fast_w_slope", "grid.half_width=4.0"), ("boundary_gbc", "grid.half_width=4.0")],
     )
     def test_grid_key_the_law_cannot_take_exits_2(self, tmp_path, capsys, tag, key):
-        # an exact law takes no grid; the boundary laws live on [0, 1]
+        # an exact law takes no grid; the boundary law lives on [0, 1]
         code = main([
             "simulate-limit", "--out", str(tmp_path),
             "--set", f"limit.law_tag={tag}", "--set", key,
@@ -222,7 +223,7 @@ class TestSimulateLimit:
         # a config file sets keys too; the law's own window fills the rest,
         # and "none" restores the law's own value
         cfg = tmp_path / "cfg"
-        _write(cfg, "limit.law_tag = fast_w_slope\ngrid.step = 0.002  # coarse\n")
+        _write(cfg, "limit.law_tag = boundary_gbc\ngrid.step = 0.002  # coarse\n")
         assert main(["simulate-limit", "--config", str(cfg), "--out", str(tmp_path / "a"),
                      "--set", "limit.draws=5"]) == 0
         meta = json.loads(_read(tmp_path / "a" / "limit_batch.meta.json"))
@@ -235,7 +236,7 @@ class TestSimulateLimit:
     def test_step_alone_keeps_the_law_window(self, tmp_path):
         # the half-width and sidedness that are not set come from the law itself
         assert main(["simulate-limit", "--out", str(tmp_path), "--set", "limit.draws=5",
-                     "--set", "limit.law_tag=fast_w_slope", "--set", "grid.step=0.001"]) == 0
+                     "--set", "limit.law_tag=boundary_gbc", "--set", "grid.step=0.001"]) == 0
         meta = json.loads(_read(tmp_path / "limit_batch.meta.json"))
         assert meta["grid"] == {"half_width": 1.0, "step": 0.001, "two_sided": False}
 
@@ -510,6 +511,22 @@ class TestStudyInputChecks:
         assert code == 2
         err = capsys.readouterr().err
         assert "two strictly increasing sizes" in err and len(err.strip().splitlines()) == 1
+
+    def test_consistency_repeated_sup_gammas_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a repeated exponent would draw and write every sup-norm replicate twice
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn before the sup_gammas check")
+
+        monkeypatch.setattr(experiments, "draw_sample", no_draws)
+        code = main([
+            "consistency", "--out", str(tmp_path),
+            "--set", "study.sup_gammas=0.25,0.25", "--set", "study.n_list=64,128,256",
+            "--set", "study.replicates=50",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "repeats" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "consistency.csv").exists()
 
 
 def _reject_constant(name):

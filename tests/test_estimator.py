@@ -20,7 +20,13 @@ from monotone_wfi.estimator import (
     switch_check,
 )
 from monotone_wfi import estimator
-from monotone_wfi.estimator import _cusums, _fitted_value_exact, _minorant_indices
+from monotone_wfi.estimator import (
+    _cusums,
+    _fitted_value_exact,
+    _inverse_index,
+    _minorant_indices,
+    _vertex_inverse_index,
+)
 from monotone_wfi.model import FeatureLaw, LinkSpec, Sample, Scenario, draw_sample
 from monotone_wfi.streams import stream
 
@@ -189,6 +195,14 @@ class TestExactnessProperties:
         a = data.draw(st.sampled_from(npmle_values(s).tolist()) | st.floats(0.0, 1.0))
         rec = switch_check(s, x, a)
         assert rec["lhs"] == rec["rhs"]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_samples(40), st.data())
+    def test_vertex_inverse_matches_the_full_scan(self, s, data):
+        # oracle: the scan of every diagram point with exact tie re-ranking
+        cw, co, keep = s.diagram
+        a = data.draw(st.sampled_from(npmle_values(s).tolist()) | st.floats(0.0, 1.0))
+        assert _vertex_inverse_index(cw, co, keep, a) == _inverse_index(cw, co, a)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_samples(40), st.data())

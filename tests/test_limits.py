@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
-from scipy.stats import chi, kstest
+from scipy.stats import chi, kstest, norm
 
 from monotone_wfi.limits import (
     DEFAULT_EDGE_GRID,
@@ -29,6 +29,7 @@ from monotone_wfi.limits import (
     chernoff_exact_batch,
     chernoff_table,
     edge_layer_constant,
+    fast_slope_batch,
     l1_fast_batch,
     local_width,
     mu_n,
@@ -37,7 +38,7 @@ from monotone_wfi.limits import (
     slow_limit_batch,
 )
 from monotone_wfi import limits
-from monotone_wfi.limits import _chunked, _gcm_slope_batch
+from monotone_wfi.limits import _argmin_last, _break_sticks, _chunked, _gcm_slope_batch
 from monotone_wfi.estimator import lower_hull_indices, npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
@@ -470,6 +471,68 @@ class TestL1FastSampler:
                 assert emp[i, j] == pytest.approx(1 - 2 * abs(u - v), abs=0.03)
 
 
+class TestExactFastSlopeLaw:
+    """The fast-regime pointwise law from the stick-breaking faces of the minorant of W.
+
+    KS bounds are the 0.1 % critical values, 1.95 / sqrt(m) for one sample
+    and 1.95 sqrt(2 / m) for two samples of m.
+    """
+
+    M = 20_000
+
+    def test_face_increments_sum_to_a_standard_normal(self):
+        # the faces add up to W(1), up to the leftover's N(0, e^-48)
+        lengths, slopes, _ = _break_sticks(np.ones(self.M), stream(301))
+        total = (lengths * slopes).sum(axis=1)
+        assert kstest(total, norm.cdf).statistic <= 1.95 / math.sqrt(self.M)
+
+    def test_total_variation_is_chi3(self):
+        # sum sqrt(l) |Z| is W(1) - 2 min W, which l1_fast_batch draws as chi_3
+        lengths, slopes, _ = _break_sticks(np.ones(self.M), stream(302))
+        total = (lengths * np.abs(slopes)).sum(axis=1)
+        assert kstest(total, chi(3).cdf).statistic <= 1.95 / math.sqrt(self.M)
+
+    def test_symmetric_at_the_median(self):
+        # F(0) = 1/2 on the uniform law, and W(1 - t) - W(1) mirrors the minorant
+        a = fast_slope_batch(LOGISTIC, UNIFORM, 0.0, self.M, 303)
+        b = fast_slope_batch(LOGISTIC, UNIFORM, 0.0, self.M, 304)
+        assert ks_two_sample(a, -b) <= 1.95 * math.sqrt(2.0 / self.M)
+        assert abs(a.mean()) <= 3.0 * a.std(ddof=1) / math.sqrt(self.M)
+
+    def test_matches_the_grid_sampler(self):
+        m = 10_000
+        exact = fast_slope_batch(LOGISTIC, POLY, 0.3, m, 305)
+        grid = boundary_limit_batch(0.0, LOGISTIC, POLY, 0.3, COARSE_UNIT, m, 306)
+        assert ks_two_sample(exact, grid) <= 1.95 * math.sqrt(2.0 / m)
+
+    def test_continuation_keeps_the_law(self, monkeypatch):
+        # two sticks per round leave about e^-2 of [0, 1], so most draws
+        # need the leftover broken again before the certificate holds
+        full = fast_slope_batch(LOGISTIC, UNIFORM, 0.3, self.M, 307)
+        rounds = []
+
+        def counted(left, rng):
+            rounds.append(left.size)
+            return _break_sticks(left, rng)
+
+        monkeypatch.setattr(limits, "_STICKS", 2)
+        monkeypatch.setattr(limits, "_break_sticks", counted)
+        short = fast_slope_batch(LOGISTIC, UNIFORM, 0.3, self.M, 308)
+        chunks = -(-self.M // 512)
+        assert len(rounds) > 3 * chunks
+        assert ks_two_sample(full, short) <= 1.95 * math.sqrt(2.0 / self.M)
+
+    def test_takes_no_grid_and_draws_no_path(self, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("the exact sampler simulated a path")
+
+        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        b = sample_limit_batch("fast_w_slope", 10, 1, link=LOGISTIC, law=UNIFORM)
+        assert b.grid is None and b.draws.size == 10
+        with pytest.raises(ValueError, match="no grid"):
+            sample_limit_batch("fast_w_slope", 10, 1, link=LOGISTIC, law=UNIFORM, grid=COARSE_UNIT)
+
+
 class TestMonteCarloConstants:
     def test_abs_mean_requires_bulk(self):
         with pytest.raises(ValueError):
@@ -495,6 +558,32 @@ class TestMonteCarloConstants:
         assert res.estimate > 0
         assert abs(res.tail_cov) <= 3 * res.tail_se  # truncation audit
         assert res.a_values[-1] == pytest.approx(4.0)
+
+    def test_cov_integral_shifts_match_the_direct_argmin(self, monkeypatch):
+        # oracle: argmin_s {Z(s) + (s - a)^2} per shift on the same paths,
+        # ties to the largest index, against the one minorant per path
+        paths, shifts = [], []
+
+        def kept_paths(*args):
+            p = brownian_paths(*args)
+            paths.append(p.copy())
+            return p
+
+        def kept_shifts(m, draw):
+            out = _chunked(m, draw)
+            shifts.append(out)
+            return out
+
+        monkeypatch.setattr(limits, "brownian_paths", kept_paths)
+        monkeypatch.setattr(limits, "_chunked", kept_shifts)
+        res = chernoff_cov_integral(PathGrid(2.0, 0.01, True), 3.0, 0.25, 600, 68, bootstrap=2)
+        big = PathGrid(5.0, 0.01, True)
+        s = big.points()
+        z = np.concatenate(paths)
+        direct = np.column_stack(
+            [np.abs(s[_argmin_last(z + (s - a) ** 2)] - a) for a in res.a_values]
+        )
+        assert np.array_equal(shifts[0], direct)
 
     def test_cov_integral_validation(self):
         with pytest.raises(ValueError):
@@ -585,7 +674,12 @@ class TestSupportBoundaryLayer:
 
 class TestLimitBatches:
     def test_tags_and_determinism(self):
-        grids = {"scaled_chernoff": None, "fast_w_slope": COARSE_UNIT, "l1_fast_maxA": None}
+        grids = {
+            "scaled_chernoff": None,
+            "boundary_gbc": COARSE_UNIT,
+            "fast_w_slope": None,
+            "l1_fast_maxA": None,
+        }
         for tag, grid in grids.items():
             b1 = sample_limit_batch(tag, 200, 77, link=LOGISTIC, law=UNIFORM, grid=grid)
             b2 = sample_limit_batch(tag, 200, 77, link=LOGISTIC, law=UNIFORM, grid=grid)
