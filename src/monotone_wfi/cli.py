@@ -7,8 +7,8 @@ canonical default file for a command, and emit -> parse -> emit is a
 fixed point.
 
 Exit codes: 0 success, 2 input or validation error (unreadable files
-included), 3 numerical failure (quadrature or grid escape), 4
-acceptance-check failure under --check.
+included), 3 numerical failure (quadrature, grid escape or hull
+certificate), 4 acceptance-check failure under --check.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .experiments import (
     run_rate_study,
     run_tail_bound_probe,
 )
-from .estimator import npmle_fit
+from .estimator import HullCertificateError, npmle_fit
 from .limits import (
     DEFAULT_TWO_SIDED_GRID,
     GridEscapeError,
@@ -640,7 +640,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (QuadratureError, GridEscapeError) as exc:
+    except (QuadratureError, GridEscapeError, HullCertificateError) as exc:
         print(f"{args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

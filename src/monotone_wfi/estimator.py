@@ -9,12 +9,12 @@ constant at and beyond the largest point.
 The minorant is the isotonic (pool-adjacent-violators) fit of the block
 label means, so its vertices are read off the blocks of
 ``scipy.optimize.isotonic_regression``.  The diagram is kept in integer
-counts, and the blocks are accepted only after an integer certificate
-proves them to be the exact hull; otherwise the exact monotone-stack
-hull :func:`lower_hull_indices` is used.  A pure-Python weighted
-pooling pass (:func:`pava_fit`) is kept as an independent oracle, and
-the argmin of the cusum polygon minus a linear ramp gives the
-estimator's generalized inverse.
+counts: block boundaries between exactly equal slopes are dropped, and
+the blocks are accepted only after an integer certificate proves them to
+be the exact hull (:class:`HullCertificateError` otherwise).  A
+pure-Python weighted pooling pass (:func:`pava_fit`) is kept as an
+independent oracle, and the largest argmin of the cusum diagram minus a
+linear ramp gives the estimator's generalized inverse.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from scipy.optimize import isotonic_regression
 from .model import Sample
 
 __all__ = [
+    "HullCertificateError",
     "StepEstimate",
-    "lower_hull_indices",
     "npmle_fit",
     "npmle_values",
     "pava_fit",
@@ -37,6 +37,10 @@ __all__ = [
     "switch_check",
     "log_likelihood",
 ]
+
+
+class HullCertificateError(RuntimeError):
+    """Float isotonic blocks that are not the exact minorant of an integer diagram."""
 
 
 @dataclass(frozen=True)
@@ -92,45 +96,22 @@ def _cusums(s: Sample) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def lower_hull_indices(ts, vs) -> np.ndarray:
-    """Indices of the lower convex hull of points sorted by abscissa.
-
-    Single monotone-stack pass; collinear middle points are dropped so
-    segment slopes come out strictly increasing.  Cross products are
-    evaluated on the raw floats with no epsilon.
-    """
-    ts = list(map(float, ts))
-    vs = list(map(float, vs))
-    idx: list[int] = []
-    for i in range(len(ts)):
-        ti = ts[i]
-        vi = vs[i]
-        while len(idx) >= 2:
-            a = idx[-2]
-            b = idx[-1]
-            if (ts[b] - ts[a]) * (vi - vs[a]) - (ti - ts[a]) * (vs[b] - vs[a]) <= 0.0:
-                idx.pop()
-            else:
-                break
-        idx.append(i)
-    return np.asarray(idx, dtype=np.int64)
-
-
 def _minorant_indices(cw: np.ndarray, co: np.ndarray) -> np.ndarray:
     """Vertex indices of the greatest convex minorant of an integer diagram.
 
     ``cw`` (strictly increasing) and ``co`` are int64 arrays, in practice
-    the cusums of :func:`_cusums`.  The block boundaries of the isotonic fit of the increment ratios are
-    the minorant's vertices, but the fit pools in floating point and can
-    split a block whose pooled means differ only by rounding (unit
-    weights, labels ``111011011001001111001001000010``: blocks
-    ``[0, 28, 30]`` against the hull ``[0, 30]``).  The blocks are
-    therefore accepted only under an exact integer certificate: segment
-    slopes strictly increasing (cross-multiplied) and every diagram point
-    on or above its segment.  Together these make the polygon through the
-    block ends the minorant, with every vertex a strict kink, which is
-    exactly the output of :func:`lower_hull_indices`; when the certificate
-    fails that stack is used instead.  For the cusums of n draws every
+    the cusums of :func:`_cusums`.  The block boundaries of the isotonic
+    fit of the increment ratios are the minorant's vertices, but the fit
+    pools in floating point and can split a block whose pooled means
+    differ only by rounding (unit weights, labels
+    ``111011011001001111001001000010``: blocks ``[0, 28, 30]`` against the
+    hull ``[0, 30]``).  Every boundary between two exactly equal block
+    slopes is therefore dropped, and the blocks are then accepted only
+    under an exact integer certificate: segment slopes strictly increasing
+    (cross-multiplied) and every diagram point on or above its segment.
+    Together these make the polygon through the block ends the minorant,
+    with every vertex a strict kink; blocks that fail the certificate
+    raise :class:`HullCertificateError`.  For the cusums of n draws every
     product stays below ``n**2``, so int64 is exact for ``n`` below 3e9.
     """
     # slices rather than np.diff: its overhead dominates on small samples
@@ -138,13 +119,21 @@ def _minorant_indices(cw: np.ndarray, co: np.ndarray) -> np.ndarray:
     blocks = isotonic_regression(do / dw, weights=dw).blocks
     vw, vo = cw[blocks], co[blocks]
     sw, so = vw[1:] - vw[:-1], vo[1:] - vo[:-1]
+    tie = so[:-1] * sw[1:] == so[1:] * sw[:-1]
+    if tie.any():  # merge the blocks that rounding split, chains of ties at once
+        blocks = np.delete(blocks, 1 + np.flatnonzero(tie))
+        vw, vo = cw[blocks], co[blocks]
+        sw, so = vw[1:] - vw[:-1], vo[1:] - vo[:-1]
     lens = blocks[1:] - blocks[:-1]
     # the running cross product against each point's own segment is 0 at
     # every block end, so one cumsum over all increments covers every block
     above = np.cumsum(do * np.repeat(sw, lens) - dw * np.repeat(so, lens))
     if (so[:-1] * sw[1:] < so[1:] * sw[:-1]).all() and above.min() >= 0:
         return blocks
-    return lower_hull_indices(cw, co)
+    raise HullCertificateError(
+        f"the float isotonic blocks of the n={int(cw[-1])} cusum diagram "
+        "failed the exact hull certificate"
+    )
 
 
 def npmle_values(s: Sample) -> np.ndarray:
@@ -230,28 +219,6 @@ def _inverse_index(cw: np.ndarray, co: np.ndarray, a: float) -> int:
     return int(near[max(k for k, key in enumerate(keys) if key == best)])
 
 
-def _vertex_inverse_index(cw: np.ndarray, co: np.ndarray, keep: np.ndarray, a: float) -> int:
-    """:func:`_inverse_index` searched among the minorant's vertices ``keep`` only.
-
-    ``co - a * cw`` is smallest on the minorant, and its largest minimizer
-    ends the last minorant segment of slope at most ``a``: a vertex.  The
-    segment slopes strictly increase, so a bisection finds that segment,
-    comparing each slope with ``a`` cross-multiplied in integers.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("level a must lie in [0, 1]")
-    num, den = Fraction(a).as_integer_ratio()
-    lo, hi = 0, keep.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        b, e = keep[mid], keep[mid + 1]
-        if int(co[e] - co[b]) * den <= num * int(cw[e] - cw[b]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return int(keep[lo])
-
-
 def _fitted_value_exact(cw: np.ndarray, co: np.ndarray, keep: np.ndarray, k: int) -> Fraction:
     """Fitted value at the k-th block as an exact ratio of counts (0 at k = 0).
 
@@ -272,12 +239,12 @@ def switch_check(s: Sample, x: float, a: float) -> dict:
     exact rational arithmetic, so the equivalence holds for every ``x``
     within the sample range and every ``a`` in [0, 1], ties included.
     The cusums and the minorant come from ``s.diagram``, built once per
-    sample, and the inverse is searched among the minorant's vertices.
+    sample; the inverse is the scan of :func:`inverse_process`.
     """
     cw, co, keep = s.diagram
     k = int(np.searchsorted(s.xs, x, side="right"))
     lhs = _fitted_value_exact(cw, co, keep, k) > Fraction(a)
-    rhs = _vertex_inverse_index(cw, co, keep, a) < k
+    rhs = _inverse_index(cw, co, a) < k
     return {"lhs": bool(lhs), "rhs": bool(rhs)}
 
 

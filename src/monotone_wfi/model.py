@@ -387,10 +387,11 @@ class Sample:
 
     @cached_property
     def diagram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer cusums and the vertex indices of their minorant, built on first use.
+        """Integer cusums and the vertex indices of their exact minorant, built on first use.
 
         Kept on the sample for :func:`~monotone_wfi.estimator.switch_check`,
-        which reads them on every call.
+        which on every call reads the fitted value off the minorant and
+        scans the cusums for the inverse.
         """
         from .estimator import _cusums, _minorant_indices  # estimator imports this module
 

@@ -1,11 +1,12 @@
 """Command-line surface: config handling, commands, files, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from monotone_wfi import cli, experiments, limits
+from monotone_wfi import cli, estimator, experiments, limits
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -603,3 +604,19 @@ class TestNumericalFailureExit:
         ])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_failed_hull_certificate_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
+        # one block where the hull has three segments: the certificate refuses it
+        data = tmp_path / "d.csv"
+        _write(data, "x,y\n1,0\n2,1\n3,0\n4,1\n")
+        monkeypatch.setattr(
+            estimator, "isotonic_regression",
+            lambda *a, **k: SimpleNamespace(blocks=np.array([0, 4])),
+        )
+        code = main(["fit", "--input", str(data), "--output-prefix", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("fit: numerical failure: ") and "n=4 " in err
+        assert "certificate" in err
+        assert not (tmp_path / "o.steps.csv").exists()

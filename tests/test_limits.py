@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.stats import chi, kstest, norm
 
+from hull_oracle import lower_hull_indices
 from monotone_wfi.limits import (
     DEFAULT_EDGE_GRID,
     DEFAULT_TWO_SIDED_GRID,
@@ -39,7 +40,7 @@ from monotone_wfi.limits import (
 )
 from monotone_wfi import limits
 from monotone_wfi.limits import _argmin_last, _break_sticks, _chunked, _gcm_slope_batch
-from monotone_wfi.estimator import lower_hull_indices, npmle_fit
+from monotone_wfi.estimator import npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
 from monotone_wfi.streams import stream
