@@ -130,14 +130,11 @@ class LinkSpec:
 
 
 def _logistic(u):
-    # Split form avoids overflow of exp for large |u|.
+    # The split form 1/(1+e^-u) for u >= 0, e^u/(1+e^u) below, in one exp
+    # pass: min(u, -u) is -|u| and never overflows, and keeps a NaN's sign.
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    e = np.exp(np.minimum(u, -u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def link_eval(link: LinkSpec, u) -> np.ndarray | float:
@@ -374,6 +371,8 @@ class Sample:
             raise ValueError("empty sample")
         if not (len(xs) == len(ones) == len(weights)):
             raise ValueError("sample fields must have equal length")
+        if not np.isfinite(xs).all():
+            raise ValueError("sample xs must be finite")
         if xs.size > 1 and not np.all(np.diff(xs) > 0):
             raise ValueError("sample xs must be strictly increasing")
         if np.any(weights < 1):
@@ -410,6 +409,8 @@ class Sample:
         """Sort raw draws by feature and aggregate duplicate feature values."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValueError("draws must be 1-D")
         if xs.size == 0:
             raise ValueError("empty sample")
         if xs.shape != ys.shape:
@@ -417,11 +418,13 @@ class Sample:
         if not ((ys == 0) | (ys == 1)).all():
             raise ValueError("labels must be 0 or 1")
         order = np.argsort(xs)
-        xs = xs[order]
-        starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-        ones = np.add.reduceat(ys[order].astype(np.int64), starts)
+        xs, ys = xs[order], ys[order].astype(np.int64)
+        new = xs[1:] != xs[:-1]
+        if new.all():  # no ties: every draw is its own block
+            return cls(xs + 0.0, ys, np.ones(xs.size, np.int64))  # a zero is written +0.0
+        starts = np.flatnonzero(np.r_[True, new])
         counts = np.diff(np.r_[starts, xs.size])
-        return cls(xs[starts] + 0.0, ones, counts)  # a zero block is written +0.0
+        return cls(xs[starts] + 0.0, np.add.reduceat(ys, starts), counts)
 
 
 def sample_to_csv_text(s: Sample) -> str:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from link_oracle import logistic_split
 from scipy.integrate import quad
+from scipy.special import erf
 
 from monotone_wfi.model import (
     FeatureLaw,
@@ -20,6 +22,7 @@ from monotone_wfi.model import (
     build_pointwise_hypotheses,
     default_cube_constant,
     default_slow_pair_constant,
+    draw_sample,
     in_slope_band,
     link_eval,
     link_inverse,
@@ -28,6 +31,7 @@ from monotone_wfi.model import (
     sample_dataset,
     slope_band_report,
 )
+from monotone_wfi.streams import stream
 
 LOGISTIC = LinkSpec("logistic")
 UNIFORM = FeatureLaw("uniform", 1.0)
@@ -139,6 +143,50 @@ class TestLinkValues:
         assert LOGISTIC.noise_scale == pytest.approx(0.5)
         link = LinkSpec("affine", params=(0.4, 0.2))
         assert link.noise_scale == pytest.approx(math.sqrt(0.4 * 0.6))
+
+
+_TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+_LOGISTIC_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+    709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+    _TINY, -_TINY, 2 * _TINY, -2 * _TINY,
+])
+
+
+class TestLogisticOracle:
+    """The one-pass logistic against the masked split form, bit for bit (NaN signs too)."""
+
+    def test_edge_values(self):
+        for k in range(_LOGISTIC_EDGES.size):  # each value in every position of the array
+            u = np.roll(_LOGISTIC_EDGES, k)
+            assert link_eval(LOGISTIC, u).tobytes() == logistic_split(u).tobytes()
+        for v in _LOGISTIC_EDGES:
+            assert link_eval(LOGISTIC, v[None]).tobytes() == logistic_split(v[None]).tobytes()
+
+    def test_random_values(self):
+        u = np.random.default_rng(17).uniform(-800.0, 800.0, 10**6)
+        assert link_eval(LOGISTIC, u).tobytes() == logistic_split(u).tobytes()
+
+    def test_scalar_input_returns_a_float(self):
+        for v in map(float, _LOGISTIC_EDGES):
+            out = link_eval(LOGISTIC, v)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == logistic_split(v).tobytes()
+            assert type(link_slope(LOGISTIC, v)) is float
+            assert type(link_eval(LinkSpec("beta_flat", beta=3), v)) is float
+
+    def test_slope_and_beta_flat(self):
+        rng = np.random.default_rng(18)
+        u = np.concatenate([_LOGISTIC_EDGES, rng.uniform(-12.0, 12.0, 10**5)])
+        lam = logistic_split(u)
+        assert link_slope(LOGISTIC, u).tobytes() == (lam * (1.0 - lam)).tobytes()
+        flat = LinkSpec("beta_flat", beta=3)
+        lam3 = logistic_split(u**3)
+        assert link_eval(flat, u).tobytes() == lam3.tobytes()
+        with np.errstate(invalid="ignore"):  # inf * 0 at u = +-inf, on both sides
+            slope = 3 * u**2 * lam3 * (1.0 - lam3)
+            assert link_slope(flat, u).tobytes() == slope.tobytes()
+        assert LinkCurve(flat, 0.7)(u).tobytes() == logistic_split((0.7 * u) ** 3).tobytes()
 
 
 class TestFeatureLaws:
@@ -315,6 +363,22 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample(np.array([2.0, 1.0]), np.array([0, 0]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Sample.from_draws([bad, 1.0], [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            Sample(np.array([0.0, bad]), np.array([0, 1]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("xs, ys", [
+        (np.ones((2, 2)), np.ones((2, 2))),
+        (np.ones(4), np.ones((2, 2))),
+        (1.0, 1),
+    ])
+    def test_draws_must_be_one_dimensional(self, xs, ys):
+        with pytest.raises(ValueError, match="1-D"):
+            Sample.from_draws(xs, ys)
+
     def test_ys_only_for_unit_weights(self):
         s = Sample.from_draws([1.0, 2.0], [0, 1])
         assert np.array_equal(s.ys, [0, 1])
@@ -346,12 +410,14 @@ class TestFromDrawsProperty:
     @example((np.array([0.5]), np.array([1])))
     @example((np.arange(5.0), np.array([0, 1, 1, 0, 1])))
     @example((np.full(7, 2.0), np.array([1, 0, 1, 1, 0, 0, 1])))
+    @example((np.array([0.5, -0.0, -1.25, 2.0, 1e-300]), np.array([1, 0, 1, 1, 0])))  # tie-free
+    @example((np.array([3.0, 1.0, -2.0, 3.0, 0.5]), np.array([1, 0, 1, 0, 1])))  # last pair tied
     def test_matches_unique_reference(self, draws):
         xs, ys = draws
         s = Sample.from_draws(xs, ys)
         uniq, ones, counts = _unique_reference(xs, ys)
-        assert s.xs.tobytes() == (uniq + 0.0).tobytes()
-        assert np.array_equal(s.ones, ones) and np.array_equal(s.weights, counts)
+        assert s.xs.tobytes() == (uniq + 0.0).tobytes()  # a zero feature is written +0.0
+        assert s.ones.tobytes() == ones.tobytes() and s.weights.tobytes() == counts.tobytes()
 
     def test_zero_block_is_positive_zero(self):
         s = Sample.from_draws([-0.0, 0.0, 1.0, -0.0], [1, 0, 1, 1])
@@ -378,6 +444,28 @@ class TestSampling:
         assert np.array_equal(a.weights, b.weights)
         c = sample_dataset(scn, 250, 12346)
         assert not np.array_equal(a.xs, c.xs)
+
+    @pytest.mark.parametrize("link, law", [
+        (LOGISTIC, UNIFORM),
+        (LinkSpec("beta_flat", beta=3), POLY),
+        (LinkSpec("probit", params=(1.0,)), UNIFORM),
+    ])
+    def test_matches_the_documented_stream(self, link, law):
+        """n uniforms for x, then n for y; quantile, oracle link, np.unique aggregation."""
+        n, seed = 8192, (20260808, 3)
+        scn = Scenario(link, law, 1.5, 0.25, beta=link.beta)
+        rng = stream(*seed)
+        xs = law.quantile(rng.random(n))
+        u_y = rng.random(n)
+        u = scn.delta(n) * xs
+        if link.kind == "probit":
+            probs = 0.5 * (1.0 + erf(u / math.sqrt(2.0)))
+        else:
+            probs = logistic_split(u if link.beta == 1 else u**link.beta)
+        uniq, ones, counts = _unique_reference(xs, (u_y < probs).astype(np.int64))
+        s = draw_sample(scn, n, stream(*seed))
+        assert s.xs.tobytes() == (uniq + 0.0).tobytes()
+        assert s.ones.tobytes() == ones.tobytes() and s.weights.tobytes() == counts.tobytes()
 
     def test_degenerate_link_gives_constant_labels(self):
         scn = Scenario(LinkSpec("constant", params=(1.0,)), UNIFORM, 1.0, 0.5)
