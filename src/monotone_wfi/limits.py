@@ -7,10 +7,10 @@ as a chi_3 norm, and the fast-regime pointwise law from the stick-breaking
 faces of the minorant of W (:func:`fast_slope_batch`).  The others
 discretize Gaussian paths on a fixed grid, in chunks of ``_CHUNK`` paths
 (:func:`_chunked`).  Slope-type laws on a grid are the left slopes of the
-greatest convex minorant of a simulated path: the isotonic fit of the
-path increments (:func:`_minorant_slopes`), checked in the tests against
-the monotone stack.  The covariance integral reads every shifted argmin
-off the same minorant.
+greatest convex minorant of a Gaussian path: the isotonic fit of the
+increments they draw, with no path built (:func:`_minorant_slopes`),
+checked in the tests against the monotone stack.  The covariance integral
+reads every shifted argmin off the same minorant.
 
 Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
 samplers live on a two-sided window [-S, S] with a confining drift; an
@@ -46,6 +46,7 @@ __all__ = [
     "LAW_GRIDS",
     "LAW_TAGS",
     "brownian_paths",
+    "brownian_increments",
     "chernoff_batch",
     "argmin_quadratic_batch",
     "chernoff_table",
@@ -127,6 +128,13 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return stream(int(seed_or_rng))
 
 
+def _scaled_normals(grid: PathGrid, m: int, rng, scale: float = 1.0) -> np.ndarray:
+    """``m`` rows of ``scale * sqrt(step)`` times one standard normal per grid step."""
+    inc = rng.standard_normal((m, (2 if grid.two_sided else 1) * grid.n_steps))
+    inc *= scale * math.sqrt(grid.step)
+    return inc
+
+
 def brownian_paths(grid: PathGrid, m: int, rng: np.random.Generator) -> np.ndarray:
     """m standard Brownian paths on the grid, pinned to 0 at the origin.
 
@@ -134,10 +142,8 @@ def brownian_paths(grid: PathGrid, m: int, rng: np.random.Generator) -> np.ndarr
     negative-side increments are consumed from the generator first.
     """
     n = grid.n_steps
-    # scaled in place and summed into ``out``: each chunk allocates two
-    # path-sized arrays, not five, with the same bits
-    inc = rng.standard_normal((m, 2 * n if grid.two_sided else n))
-    inc *= math.sqrt(grid.step)
+    # summed into ``out``: two path-sized arrays per chunk
+    inc = _scaled_normals(grid, m, rng)
     if grid.two_sided:
         out = np.empty((m, 2 * n + 1))
         out[:, n] = 0.0
@@ -148,6 +154,18 @@ def brownian_paths(grid: PathGrid, m: int, rng: np.random.Generator) -> np.ndarr
     out[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
+
+
+def brownian_increments(grid: PathGrid, m: int, rng, scale: float = 1.0) -> np.ndarray:
+    """Left-to-right increments of ``scale`` times the paths of :func:`brownian_paths`.
+
+    The same normals from the same stream, with no path built: on a two-sided
+    grid the negative side, drawn outwards from the origin, is reversed and negated.
+    """
+    inc = _scaled_normals(grid, m, rng, scale)
+    if grid.two_sided:
+        inc[:, : grid.n_steps] = -inc[:, grid.n_steps - 1 :: -1]
+    return inc
 
 
 def _argmin_last(values: np.ndarray) -> np.ndarray:
@@ -336,33 +354,33 @@ def chernoff_exact_batch(m: int, seed_or_rng) -> np.ndarray:
 # greatest-convex-minorant slope samplers
 
 
-def _minorant_slopes(paths: np.ndarray, step: float):
-    """Each path's greatest convex minorant: ``(slopes, blocks)`` path by path.
+def _minorant_slopes(increments: np.ndarray, step: float, at=slice(None)):
+    """Each path's greatest convex minorant: ``(slopes[at], blocks)`` path by path.
 
-    The isotonic fit of a path's increments is the grid step times the
-    minorant's slope over each increment; ``blocks`` holds the fit's block
-    starts followed by the increment count: the minorant's vertex indices.
+    Each row holds a path's drawn increments; no path is built.  Their
+    isotonic fit is the grid step times the minorant's slope over each
+    increment; ``blocks`` holds the fit's block starts followed by the
+    increment count: the minorant's vertex indices.
     """
-    for path in paths:  # one row of increments at a time: no second path-sized array
-        res = isotonic_regression(np.diff(path))
-        yield res.x / step, res.blocks
+    for row in increments:
+        res = isotonic_regression(row)
+        yield res.x[at] / step, res.blocks
 
 
 def _gcm_slope_batch(
-    paths: np.ndarray, slot: int, step: float
+    increments: np.ndarray, slot: int, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Left minorant slope at increment ``slot`` per path.
+    """Left minorant slope at increment ``slot`` per row of path increments.
 
     Returns the slopes and a flag marking paths whose minorant block at
     ``slot`` touches the grid boundary (window too small to localize the
     slope).
     """
-    m, npts = paths.shape
-    n_inc = npts - 1
+    m, n_inc = increments.shape
     out = np.empty(m)
     touched = np.zeros(m, dtype=bool)
-    for i, (slopes, blocks) in enumerate(_minorant_slopes(paths, step)):
-        out[i] = slopes[slot]
+    for i, (slope, blocks) in enumerate(_minorant_slopes(increments, step, slot)):
+        out[i] = slope
         b = int(np.searchsorted(blocks, slot, side="right")) - 1
         touched[i] = blocks[b] == 0 or blocks[b + 1] == n_inc
     return out, touched
@@ -403,14 +421,13 @@ def slow_limit_batch(
     if not grid.two_sided:
         raise ValueError("the slow-regime sampler needs a two-sided grid")
     coef = _slow_drift_coeff(link, law, x0)
-    sigma = link.noise_scale
+    drift_inc = cache(lambda g: np.diff(coef * g.points() ** (link.beta + 1)))  # per window
     rng = _as_rng(seed_or_rng)
 
     def draw(g: PathGrid, k: int):
-        p = brownian_paths(g, k, rng)
-        p *= sigma
-        p += coef * g.points() ** (link.beta + 1)
-        return _gcm_slope_batch(p, g.n_steps - 1, g.step)  # increment ending at 0
+        inc = brownian_increments(g, k, rng, link.noise_scale)
+        inc += drift_inc(g)
+        return _gcm_slope_batch(inc, g.n_steps - 1, g.step)  # increment ending at 0
 
     return _redraw_escapes(
         grid, m, draw, "minorant block at the origin kept touching the window boundary"
@@ -477,16 +494,14 @@ def boundary_limit_batch(
     if grid.two_sided or abs(grid.half_width - 1.0) > 1e-12:
         raise ValueError("boundary sampler needs a one-sided grid on [0, 1]")
     pts = grid.points()
-    drift = boundary_drift(c, link, law, x0, pts)
-    sigma = link.noise_scale
+    drift_inc = np.diff(boundary_drift(c, link, law, x0, pts))
     slot = int(np.searchsorted(pts, float(law.cdf(x0)), side="left")) - 1
     rng = _as_rng(seed_or_rng)
 
     def draw(k: int) -> np.ndarray:
-        p = brownian_paths(grid, k, rng)
-        p *= sigma
-        p += drift
-        return _gcm_slope_batch(p, slot, grid.step)[0]
+        inc = brownian_increments(grid, k, rng, link.noise_scale)
+        inc += drift_inc
+        return _gcm_slope_batch(inc, slot, grid.step)[0]
 
     return _chunked(m, draw)
 
@@ -607,16 +622,16 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
         raise ValueError("the edge constant needs at least 2 paths for its error")
     rng = _as_rng(seed_or_rng)
     s = grid.points()
-    drift = s * s
+    drift_inc = np.diff(s * s)
     n_inc = grid.n_steps
     twice_mid = s[:-1] + s[1:]  # drift slope over each increment
     half, lo, hi = n_inc // 2, n_inc // 3, 2 * n_inc // 3
 
     def draw(k: int) -> np.ndarray:
-        p = brownian_paths(grid, k, rng)
-        p += drift
+        inc = brownian_increments(grid, k, rng)
+        inc += drift_inc
         excess = np.empty(k)
-        for i, (slopes, _) in enumerate(_minorant_slopes(p, grid.step)):
+        for i, (slopes, _) in enumerate(_minorant_slopes(inc, grid.step)):
             profile = 0.5 * np.abs(slopes - twice_mid)
             level = profile[lo:hi].mean()
             excess[i] = grid.step * (profile[:half].sum() - half * level)
@@ -678,14 +693,15 @@ def chernoff_cov_integral(
     rng = _as_rng(seed_or_rng)
     big = PathGrid(grid.half_width + math.ceil(a_max), grid.step, True)
     s = big.points()
+    drift_inc = np.diff(s * s)
     n_a = int(round(a_max / a_step)) + 1
     a_values = a_step * np.arange(n_a)
 
     def draw(k: int) -> np.ndarray:
-        f = brownian_paths(big, k, rng)
-        f += s * s
+        inc = brownian_increments(big, k, rng)
+        inc += drift_inc
         shift = np.empty((k, n_a))
-        for i, (slopes, _) in enumerate(_minorant_slopes(f, big.step)):
+        for i, (slopes, _) in enumerate(_minorant_slopes(inc, big.step)):
             # the largest minimizer of f(s) - 2 a s ends the last increment
             # whose minorant slope is at most 2 a
             x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]

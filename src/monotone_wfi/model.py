@@ -172,8 +172,10 @@ def link_slope(link: LinkSpec, u) -> np.ndarray | float:
         out = np.where((0.0 < a + b * u) & (a + b * u < 1.0), b, 0.0)
     elif link.kind == "beta_flat":
         beta = link.beta
-        lam = _logistic(u**beta)
-        out = beta * u ** (beta - 1) * lam * (1.0 - lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = _logistic(u**beta)
+            out = beta * u ** (beta - 1) * lam * (1.0 - lam)
+        out = np.where(lam * (1.0 - lam) == 0.0, 0.0, out)  # not inf * 0 where u**beta is huge
     else:  # constant
         out = np.zeros_like(u)
     return float(out) if scalar else out

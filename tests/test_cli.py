@@ -444,7 +444,7 @@ class TestStudyInputChecks:
         assert not (tmp_path / "rate_study.csv").exists()
 
     def test_slow_fbeta_off_the_flat_point_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(limits, "brownian_paths", _no_draws)
+        monkeypatch.setattr(limits, "_scaled_normals", _no_draws)
         code = main([
             "simulate-limit", "--out", str(tmp_path), "--set", "limit.law_tag=slow_fbeta",
             "--set", "scenario.link=beta_flat", "--set", "scenario.beta=3",
@@ -487,7 +487,7 @@ class TestStudyInputChecks:
         def no_paths(*args):
             raise AssertionError("a path was drawn before the input check")
 
-        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        monkeypatch.setattr(limits, "_scaled_normals", no_paths)
         code = main(["constants", "--out", str(tmp_path), "--set", key])
         assert code == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import isotonic_regression
 from scipy.special import beta as beta_fn
 from scipy.stats import chi, kstest, norm
 
@@ -22,6 +23,7 @@ from monotone_wfi.limits import (
     boundary_drift,
     boundary_limit_batch,
     boundary_term,
+    brownian_increments,
     brownian_paths,
     chernoff_abs_mean,
     chernoff_abs_mean_mc,
@@ -56,6 +58,13 @@ REF_CHERNOFF_ABS_MEAN = 0.4127365501643
 
 COARSE = PathGrid(4.0, 0.004, True)
 COARSE_UNIT = PathGrid(1.0, 0.001, False)
+
+
+def _twin(rng: np.random.Generator) -> np.random.Generator:
+    """A generator that replays ``rng``'s stream from its current state."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
 
 
 def _hull_left_slope(s, f, at):
@@ -267,7 +276,7 @@ class TestGcmSlopeMachinery:
         rng = stream(99)
         paths = brownian_paths(g, 40, rng) + 0.3 * s[None, :] ** 2
         for at, slot in ((0.5, 49), (0.37, 36)):
-            iso, _ = _gcm_slope_batch(paths, slot, g.step)
+            iso, _ = _gcm_slope_batch(np.diff(paths, axis=1), slot, g.step)
             for i in range(paths.shape[0]):
                 hull = _hull_left_slope(s, paths[i], at)
                 assert iso[i] == pytest.approx(hull, abs=1e-10)
@@ -281,6 +290,107 @@ class TestGcmSlopeMachinery:
             drift = s ** (beta + 1)
             val = _hull_left_slope(s, drift, 0.0)
             assert val == pytest.approx(0.0, abs=g.step**beta + 1e-12)
+
+
+class TestIncrementRoute:
+    """The slope laws fit drawn increments; the route they replace fit ``np.diff`` of paths.
+
+    Both routes run on twin streams.  Only the rounding of the path's cumsum
+    and diff separates them, so the draws agree to 1e-12 relative and every
+    touched and escape flag is the same.
+    """
+
+    GRIDS = (PathGrid(1.0, 0.005, False), PathGrid(1.0, 0.01, True))
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        fits = []
+
+        def recorded(*args):
+            fits.append(_gcm_slope_batch(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(limits, "_gcm_slope_batch", recorded)
+        return fits
+
+    @staticmethod
+    def _assert_close(new, old):
+        assert np.all(np.abs(new - old) <= 1e-12 * np.abs(old))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_increments_are_the_path_differences(self, grid):
+        rng = stream(401)
+        twin = _twin(rng)
+        inc = brownian_increments(grid, 300, rng)
+        paths = brownian_paths(grid, 300, twin)
+        assert inc.shape == (300, paths.shape[1] - 1)
+        scale = math.sqrt(grid.half_width)
+        assert np.abs(inc - np.diff(paths, axis=1)).max() <= 1e-12 * scale
+        assert np.array_equal(rng.random(4), twin.random(4))  # both took the same normals
+
+    def test_slow_law_matches_the_path_route(self, monkeypatch):
+        # on [-1, 1] some blocks at the origin touch the window's edge, so
+        # both routes redraw those draws on the doubled window
+        grid, m = self.GRIDS[1], 600
+        coef = limits._slow_drift_coeff(LOGISTIC, UNIFORM, 0.0)
+        rng = stream(402)
+        twin = _twin(rng)
+        new_fits = self._spy(monkeypatch)
+        new = slow_limit_batch(LOGISTIC, UNIFORM, 0.0, grid, m, rng)
+        old_fits = []
+
+        def old_draw(g, k):
+            p = LOGISTIC.noise_scale * brownian_paths(g, k, twin) + coef * g.points() ** 2
+            old_fits.append(_gcm_slope_batch(np.diff(p, axis=1), g.n_steps - 1, g.step))
+            return old_fits[-1]
+
+        old = limits._redraw_escapes(grid, m, old_draw, "escaped")
+        assert len(new_fits) == len(old_fits) == 3 and new_fits[0][1].any()
+        for (new_slopes, new_touched), (old_slopes, old_touched) in zip(new_fits, old_fits):
+            self._assert_close(new_slopes, old_slopes)
+            assert np.array_equal(new_touched, old_touched)
+        self._assert_close(new, old)
+
+    @pytest.mark.parametrize("c", [0.0, 2.0])
+    def test_boundary_law_matches_the_path_route(self, monkeypatch, c):
+        grid, m = self.GRIDS[0], 600
+        pts = grid.points()
+        drift = boundary_drift(c, LOGISTIC, POLY, 0.3, pts)
+        slot = int(np.searchsorted(pts, float(POLY.cdf(0.3)), side="left")) - 1
+        rng = stream(403)
+        twin = _twin(rng)
+        new_fits = self._spy(monkeypatch)
+        new = boundary_limit_batch(c, LOGISTIC, POLY, 0.3, grid, m, rng)
+        old_fits = [
+            _gcm_slope_batch(
+                np.diff(LOGISTIC.noise_scale * brownian_paths(grid, k, twin) + drift, axis=1),
+                slot,
+                grid.step,
+            )
+            for k in (512, 88)
+        ]
+        assert len(new_fits) == 2
+        for (new_slopes, new_touched), (old_slopes, old_touched) in zip(new_fits, old_fits):
+            self._assert_close(new_slopes, old_slopes)
+            assert np.array_equal(new_touched, old_touched)
+        self._assert_close(new, np.concatenate([f[0] for f in old_fits]))
+
+    def test_edge_constant_matches_the_path_route(self):
+        grid, m = PathGrid(6.0, 0.01, False), 300
+        rng = stream(404)
+        twin = _twin(rng)
+        d, se = edge_layer_constant(grid, m, rng)
+        s = grid.points()
+        n = grid.n_steps
+        excess = []
+        for path in brownian_paths(grid, m, twin) + s * s:
+            slopes = isotonic_regression(np.diff(path)).x / grid.step
+            profile = 0.5 * np.abs(slopes - (s[:-1] + s[1:]))
+            level = profile[n // 3 : 2 * n // 3].mean()
+            excess.append(grid.step * (profile[: n // 2].sum() - n // 2 * level))
+        excess = np.array(excess)
+        old = np.array([excess.mean(), excess.std(ddof=1) / math.sqrt(m)])
+        self._assert_close(np.array([d, se]), old)
 
 
 class TestSlowRegimeSampler:
@@ -305,7 +415,7 @@ class TestSlowRegimeSampler:
         def no_paths(*args):
             raise AssertionError("a path was drawn before the x0 check")
 
-        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        monkeypatch.setattr(limits, "_scaled_normals", no_paths)
         flat3 = LinkSpec("beta_flat", beta=3)
         with pytest.raises(ValueError, match="x0 = 0 only"):
             slow_limit_batch(flat3, UNIFORM, 0.4, COARSE, 10, 1)
@@ -441,7 +551,7 @@ class TestL1FastSampler:
         def no_paths(*args):
             raise AssertionError("the exact sampler simulated a path")
 
-        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        monkeypatch.setattr(limits, "_scaled_normals", no_paths)
         draws = l1_fast_batch(LOGISTIC, 20_000, 42) / LOGISTIC.noise_scale
         assert kstest(draws, chi(3).cdf).statistic <= 1.36 / math.sqrt(draws.size)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -527,7 +637,7 @@ class TestExactFastSlopeLaw:
         def no_paths(*args):
             raise AssertionError("the exact sampler simulated a path")
 
-        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        monkeypatch.setattr(limits, "_scaled_normals", no_paths)
         b = sample_limit_batch("fast_w_slope", 10, 1, link=LOGISTIC, law=UNIFORM)
         assert b.grid is None and b.draws.size == 10
         with pytest.raises(ValueError, match="no grid"):
@@ -562,25 +672,22 @@ class TestMonteCarloConstants:
 
     def test_cov_integral_shifts_match_the_direct_argmin(self, monkeypatch):
         # oracle: argmin_s {Z(s) + (s - a)^2} per shift on the same paths,
-        # ties to the largest index, against the one minorant per path
-        paths, shifts = [], []
-
-        def kept_paths(*args):
-            p = brownian_paths(*args)
-            paths.append(p.copy())
-            return p
+        # rebuilt from a twin stream, ties to the largest index, against
+        # the one minorant per path
+        shifts = []
 
         def kept_shifts(m, draw):
             out = _chunked(m, draw)
             shifts.append(out)
             return out
 
-        monkeypatch.setattr(limits, "brownian_paths", kept_paths)
         monkeypatch.setattr(limits, "_chunked", kept_shifts)
-        res = chernoff_cov_integral(PathGrid(2.0, 0.01, True), 3.0, 0.25, 600, 68, bootstrap=2)
+        rng = stream(68)
+        twin = _twin(rng)
+        res = chernoff_cov_integral(PathGrid(2.0, 0.01, True), 3.0, 0.25, 600, rng, bootstrap=2)
         big = PathGrid(5.0, 0.01, True)
         s = big.points()
-        z = np.concatenate(paths)
+        z = np.concatenate([brownian_paths(big, k, twin) for k in (512, 88)])
         direct = np.column_stack(
             [np.abs(s[_argmin_last(z + (s - a) ** 2)] - a) for a in res.a_values]
         )
@@ -699,7 +806,7 @@ class TestLimitBatches:
         def no_paths(*args):
             raise AssertionError("a path was drawn before the beta check")
 
-        monkeypatch.setattr(limits, "brownian_paths", no_paths)
+        monkeypatch.setattr(limits, "_scaled_normals", no_paths)
         flat3 = LinkSpec("beta_flat", beta=3)
         for tag in limits.LAW_TAGS:
             with pytest.raises(ValueError, match="does not match"):

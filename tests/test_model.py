@@ -183,9 +183,14 @@ class TestLogisticOracle:
         flat = LinkSpec("beta_flat", beta=3)
         lam3 = logistic_split(u**3)
         assert link_eval(flat, u).tobytes() == lam3.tobytes()
-        with np.errstate(invalid="ignore"):  # inf * 0 at u = +-inf, on both sides
-            slope = 3 * u**2 * lam3 * (1.0 - lam3)
-            assert link_slope(flat, u).tobytes() == slope.tobytes()
+        not_inf = ~np.isinf(u)  # NaN inputs stay: they keep their bits
+        slope = 3 * u[not_inf] ** 2 * lam3[not_inf] * (1.0 - lam3[not_inf])
+        assert link_slope(flat, u[not_inf]).tobytes() == slope.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow and no inf * 0 on the way
+            huge = np.array([np.inf, -np.inf, 1e155, -1e155])
+            assert link_slope(flat, huge).tobytes() == np.zeros(4).tobytes()
+            assert link_slope(flat, np.inf) == 0.0 and link_slope(flat, -1e155) == 0.0
         assert LinkCurve(flat, 0.7)(u).tobytes() == logistic_split((0.7 * u) ** 3).tobytes()
 
 
