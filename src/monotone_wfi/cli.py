@@ -261,6 +261,8 @@ def _apply_overrides(command: str, given: dict, args) -> dict:
         cfg["threads"] = args.threads
     if args.out is not None:
         cfg["out"] = args.out
+    if cfg["threads"] < 0:
+        raise ConfigError(f"threads must be 0 (one per core) or positive, got {cfg['threads']}")
     return cfg
 
 

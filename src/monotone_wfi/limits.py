@@ -10,7 +10,10 @@ discretize Gaussian paths on a fixed grid, in chunks of ``_CHUNK`` paths
 greatest convex minorant of a Gaussian path: the isotonic fit of the
 increments they draw, with no path built (:func:`_minorant_slopes`),
 checked in the tests against the monotone stack.  The covariance integral
-reads every shifted argmin off the same minorant.
+reads every shifted argmin off the same minorant.  These samplers draw
+their increments one block of paths ahead on one helper thread while the
+calling thread fits the block before (:func:`_increment_blocks`); the
+draws depend on neither the block size nor the core count.
 
 Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
 samplers live on a two-sided window [-S, S] with a confining drift; an
@@ -22,6 +25,8 @@ which a :class:`GridEscapeError` signals a mis-set grid.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -70,6 +75,7 @@ __all__ = [
 ]
 
 _CHUNK = 512  # fixed path-batch chunk so draws never depend on memory layout
+_BLOCK = 32  # paths per block drawn ahead of the minorant fits; no draw depends on it
 
 
 class GridEscapeError(RuntimeError):
@@ -166,6 +172,28 @@ def brownian_increments(grid: PathGrid, m: int, rng, scale: float = 1.0) -> np.n
     if grid.two_sided:
         inc[:, : grid.n_steps] = -inc[:, grid.n_steps - 1 :: -1]
     return inc
+
+
+def _increment_blocks(grid: PathGrid, m: int, rng, drift_inc, scale: float = 1.0):
+    """``brownian_increments(grid, m, rng, scale) + drift_inc`` in blocks of ``_BLOCK`` rows.
+
+    One helper thread draws the next block while the caller works on this
+    one.  Rows fill in C order and all work is per row, so the blocks are
+    bit for bit one ``m``-row draw.  Only the helper touches ``rng`` until
+    the generator ends or is closed; either joins the helper.
+    """
+
+    def block(k: int) -> np.ndarray:
+        inc = brownian_increments(grid, k, rng, scale)
+        inc += drift_inc
+        return inc
+
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(block, min(_BLOCK, m))
+        for start in range(_BLOCK, m, _BLOCK):
+            ready, ahead = ahead.result(), helper.submit(block, min(_BLOCK, m - start))
+            yield ready
+        yield ahead.result()
 
 
 def _argmin_last(values: np.ndarray) -> np.ndarray:
@@ -354,36 +382,34 @@ def chernoff_exact_batch(m: int, seed_or_rng) -> np.ndarray:
 # greatest-convex-minorant slope samplers
 
 
-def _minorant_slopes(increments: np.ndarray, step: float, at=slice(None)):
+def _minorant_slopes(increments, step: float, at=slice(None)):
     """Each path's greatest convex minorant: ``(slopes[at], blocks)`` path by path.
 
-    Each row holds a path's drawn increments; no path is built.  Their
-    isotonic fit is the grid step times the minorant's slope over each
-    increment; ``blocks`` holds the fit's block starts followed by the
-    increment count: the minorant's vertex indices.
+    ``increments`` is one array or an iterable of arrays (the blocks of
+    :func:`_increment_blocks`) whose rows hold a path's drawn increments; no
+    path is built.  Their isotonic fit is the grid step times the
+    minorant's slope over each increment; ``blocks`` holds the fit's block
+    starts followed by the increment count: the minorant's vertex indices.
     """
-    for row in increments:
-        res = isotonic_regression(row)
-        yield res.x[at] / step, res.blocks
+    for block in [increments] if isinstance(increments, np.ndarray) else increments:
+        for row in block:
+            res = isotonic_regression(row)
+            yield res.x[at] / step, res.blocks
 
 
-def _gcm_slope_batch(
-    increments: np.ndarray, slot: int, step: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _gcm_slope_batch(increments, slot: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Left minorant slope at increment ``slot`` per row of path increments.
 
     Returns the slopes and a flag marking paths whose minorant block at
     ``slot`` touches the grid boundary (window too small to localize the
     slope).
     """
-    m, n_inc = increments.shape
-    out = np.empty(m)
-    touched = np.zeros(m, dtype=bool)
-    for i, (slope, blocks) in enumerate(_minorant_slopes(increments, step, slot)):
-        out[i] = slope
+    out, touched = [], []
+    for slope, blocks in _minorant_slopes(increments, step, slot):
+        out.append(slope)
         b = int(np.searchsorted(blocks, slot, side="right")) - 1
-        touched[i] = blocks[b] == 0 or blocks[b + 1] == n_inc
-    return out, touched
+        touched.append(blocks[b] == 0 or blocks[b + 1] == blocks[-1])
+    return np.array(out), np.array(touched, dtype=bool)
 
 
 def check_slow_pointwise(link: LinkSpec, x0: float) -> None:
@@ -425,9 +451,8 @@ def slow_limit_batch(
     rng = _as_rng(seed_or_rng)
 
     def draw(g: PathGrid, k: int):
-        inc = brownian_increments(g, k, rng, link.noise_scale)
-        inc += drift_inc(g)
-        return _gcm_slope_batch(inc, g.n_steps - 1, g.step)  # increment ending at 0
+        with closing(_increment_blocks(g, k, rng, drift_inc(g), link.noise_scale)) as inc:
+            return _gcm_slope_batch(inc, g.n_steps - 1, g.step)  # increment ending at 0
 
     return _redraw_escapes(
         grid, m, draw, "minorant block at the origin kept touching the window boundary"
@@ -499,9 +524,8 @@ def boundary_limit_batch(
     rng = _as_rng(seed_or_rng)
 
     def draw(k: int) -> np.ndarray:
-        inc = brownian_increments(grid, k, rng, link.noise_scale)
-        inc += drift_inc
-        return _gcm_slope_batch(inc, slot, grid.step)[0]
+        with closing(_increment_blocks(grid, k, rng, drift_inc, link.noise_scale)) as inc:
+            return _gcm_slope_batch(inc, slot, grid.step)[0]
 
     return _chunked(m, draw)
 
@@ -628,13 +652,12 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
     half, lo, hi = n_inc // 2, n_inc // 3, 2 * n_inc // 3
 
     def draw(k: int) -> np.ndarray:
-        inc = brownian_increments(grid, k, rng)
-        inc += drift_inc
         excess = np.empty(k)
-        for i, (slopes, _) in enumerate(_minorant_slopes(inc, grid.step)):
-            profile = 0.5 * np.abs(slopes - twice_mid)
-            level = profile[lo:hi].mean()
-            excess[i] = grid.step * (profile[:half].sum() - half * level)
+        with closing(_increment_blocks(grid, k, rng, drift_inc)) as inc:
+            for i, (slopes, _) in enumerate(_minorant_slopes(inc, grid.step)):
+                profile = 0.5 * np.abs(slopes - twice_mid)
+                level = profile[lo:hi].mean()
+                excess[i] = grid.step * (profile[:half].sum() - half * level)
         return excess
 
     excess = _chunked(m, draw)
@@ -698,19 +721,18 @@ def chernoff_cov_integral(
     a_values = a_step * np.arange(n_a)
 
     def draw(k: int) -> np.ndarray:
-        inc = brownian_increments(big, k, rng)
-        inc += drift_inc
         shift = np.empty((k, n_a))
-        for i, (slopes, _) in enumerate(_minorant_slopes(inc, big.step)):
-            # the largest minimizer of f(s) - 2 a s ends the last increment
-            # whose minorant slope is at most 2 a
-            x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
-            if np.any(np.abs(x_a) > 0.9 * big.half_width):
-                raise GridEscapeError(
-                    "shifted argmin reached the enlarged window boundary; "
-                    "increase the base grid half-width"
-                )
-            shift[i] = np.abs(x_a - a_values)
+        with closing(_increment_blocks(big, k, rng, drift_inc)) as inc:
+            for i, (slopes, _) in enumerate(_minorant_slopes(inc, big.step)):
+                # the largest minimizer of f(s) - 2 a s ends the last increment
+                # whose minorant slope is at most 2 a
+                x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
+                if np.any(np.abs(x_a) > 0.9 * big.half_width):
+                    raise GridEscapeError(
+                        "shifted argmin reached the enlarged window boundary; "
+                        "increase the base grid half-width"
+                    )
+                shift[i] = np.abs(x_a - a_values)
         return shift
 
     abs_shift = _chunked(m, draw)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monotone_wfi import cli, estimator, experiments, limits
+from monotone_wfi import cli, estimator, experiments, limits, model
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -588,6 +588,20 @@ def test_records_identical_across_threads(tmp_path, monkeypatch, command):
         texts.append(_read(out / f"{stem}.csv"))
     assert pools == [2]
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("flag", [["--threads", "-3"], ["--set", "threads=-1"]])
+@pytest.mark.parametrize("command", sorted(SMOKE_RUNS))
+def test_negative_threads_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, flag):
+    # a negative count used to run silently as one process
+    for module in (experiments, limits, model):
+        monkeypatch.setattr(module, "stream", _no_draws)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *flag, *SMOKE_RUNS[command]]) == 2
+    err = capsys.readouterr().err
+    assert "threads must be 0 (one per core) or positive" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_smoke_runs_cover_every_command():

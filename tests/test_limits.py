@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -391,6 +392,118 @@ class TestIncrementRoute:
         excess = np.array(excess)
         old = np.array([excess.mean(), excess.std(ddof=1) / math.sqrt(m)])
         self._assert_close(np.array([d, se]), old)
+
+
+def _state(x):
+    """A generator's ``bit_generator.state`` with its arrays as lists, so ``==`` compares it."""
+    return {k: _state(v) for k, v in x.items()} if isinstance(x, dict) else np.asarray(x).tolist()
+
+
+def _serial_blocks(grid, m, rng, drift_inc, scale=1.0):
+    """The route without a helper thread: one ``m``-row draw, fitted as one block."""
+    inc = brownian_increments(grid, m, rng, scale)
+    inc += drift_inc
+    yield inc
+
+
+def _cov_values(cov) -> np.ndarray:
+    return np.concatenate([[cov.estimate, cov.se], cov.cov_curve, cov.cov_se])
+
+
+class TestIncrementPipeline:
+    """The slope samplers draw each block of increments on one helper thread.
+
+    The draws and the randomness they consume must equal those of one
+    serial draw per chunk (:func:`_serial_blocks`) at every block size: one
+    path per block, a size that does not divide the chunk, the default, and
+    one block for the whole chunk.
+    """
+
+    BLOCKS = (1, 3, limits._BLOCK, limits._CHUNK + 1)
+    ESCAPING = PathGrid(1.0, 0.01, True)  # some blocks at the origin touch its edge
+    SAMPLERS = {
+        "slow": lambda rng: slow_limit_batch(
+            LOGISTIC, UNIFORM, 0.0, TestIncrementPipeline.ESCAPING, 600, rng
+        ),
+        "boundary": lambda rng: boundary_limit_batch(
+            2.0, LOGISTIC, POLY, 0.3, PathGrid(1.0, 0.005, False), 600, rng
+        ),
+        "edge": lambda rng: np.array(edge_layer_constant(PathGrid(6.0, 0.01, False), 70, rng)),
+        "cov": lambda rng: _cov_values(chernoff_cov_integral(COARSE, 3.0, 0.25, 70, rng, 20)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, name):
+        sampler = self.SAMPLERS[name]
+        grids = []
+
+        def serial(grid, *args):
+            grids.append(grid)
+            return _serial_blocks(grid, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(limits, "_increment_blocks", serial)
+            ref_rng = stream(405)
+            ref = sampler(ref_rng)
+        if name == "slow":
+            assert self.ESCAPING.doubled() in grids  # the escape redraws ran
+        for block in self.BLOCKS:
+            monkeypatch.setattr(limits, "_BLOCK", block)
+            rng = stream(405)
+            assert sampler(rng).tobytes() == ref.tobytes(), block
+            assert _state(rng.bit_generator.state) == _state(ref_rng.bit_generator.state)
+
+    def test_fits_on_the_calling_thread_draws_on_the_helper(self, monkeypatch):
+        fits, draws = [], []
+        scaled_normals = limits._scaled_normals
+
+        def fit(row):
+            fits.append(threading.get_ident())
+            return isotonic_regression(row)
+
+        def draw(*args):
+            draws.append(threading.get_ident())
+            return scaled_normals(*args)
+
+        monkeypatch.setattr(limits, "isotonic_regression", fit)
+        monkeypatch.setattr(limits, "_scaled_normals", draw)
+        baseline = threading.active_count()
+        for sampler in self.SAMPLERS.values():
+            sampler(stream(406))
+        assert threading.active_count() == baseline
+        assert set(fits) == {threading.get_ident()}
+        assert draws and threading.get_ident() not in draws
+
+    def test_helper_joined_after_an_escape_error(self):
+        baseline = threading.active_count()
+        try:
+            chernoff_cov_integral(PathGrid(0.5, 0.005, True), 3.0, 0.25, 200, 407)
+        except GridEscapeError as exc:
+            escaped = exc  # its traceback keeps the sampler's frames alive
+        assert "enlarged window boundary" in str(escaped)
+        assert threading.active_count() == baseline
+
+    def test_helper_joined_after_its_draw_fails(self, monkeypatch):
+        class DrawFailed(RuntimeError):
+            pass
+
+        scaled_normals = limits._scaled_normals
+        calls = []
+
+        def fails_on_the_third_block(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise DrawFailed("third block")
+            return scaled_normals(*args)
+
+        monkeypatch.setattr(limits, "_scaled_normals", fails_on_the_third_block)
+        baseline = threading.active_count()
+        try:
+            slow_limit_batch(LOGISTIC, UNIFORM, 0.0, COARSE, 200, 408)
+        except DrawFailed as exc:
+            failed = exc  # its traceback keeps the sampler's frames alive
+        assert str(failed) == "third block" and len(calls) == 3
+        assert threading.active_count() == baseline
 
 
 class TestSlowRegimeSampler:
