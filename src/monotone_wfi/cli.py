@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,7 @@ _COMMANDS = {
 }
 
 
+@cache  # built once per process; every later main() call reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monotone-wfi",

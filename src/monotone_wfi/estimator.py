@@ -194,9 +194,10 @@ def inverse_process(s: Sample, a: float) -> tuple[float, float]:
     (``-inf`` when ``grid_t`` is 0).
 
     Minimization runs on floats; vertices within rounding distance of the
-    float minimum are re-ranked in exact rational arithmetic, so exact
-    ties (e.g. ``a`` equal to a block mean) break to the largest abscissa
-    as the supremum-of-minimizers convention demands.
+    float minimum are re-ranked by exact integer keys ``co * q - p * cw``
+    with ``a = p / q``, so exact ties (e.g. ``a`` equal to a block mean)
+    break to the largest abscissa as the supremum-of-minimizers convention
+    demands.
     """
     cw, co = _cusums(s)
     i = _inverse_index(cw, co, a)
@@ -213,8 +214,9 @@ def _inverse_index(cw: np.ndarray, co: np.ndarray, a: float) -> int:
     near = np.flatnonzero(crit <= crit.min() + 1e-12)
     if near.size == 1:
         return int(near[0])
-    frac = Fraction(a)
-    keys = [Fraction(int(co[j])) - frac * int(cw[j]) for j in near]
+    # co - a cw scaled by q > 0: exact integers in the same order
+    p, q = float(a).as_integer_ratio()
+    keys = [int(co[j]) * q - p * int(cw[j]) for j in near]
     best = min(keys)
     return int(near[max(k for k, key in enumerate(keys) if key == best)])
 

@@ -290,8 +290,10 @@ class FeatureLaw:
             out = (x + t) / (2.0 * t)
         else:
             th = self.tilt
-            # grouped so that F(0) = 1/2 and F(+-T) = 0, 1 exactly
-            out = (1.0 - th) * ((x + t) / (2.0 * t)) + th * ((x**3 + t**3) / (2.0 * t**3))
+            # grouped so that F(0) = 1/2 and F(+-T) = 0, 1 exactly; both cubes
+            # as products (libm pow is slower and rounds unlike x * x * x)
+            t3 = t * t * t
+            out = (1.0 - th) * ((x + t) / (2.0 * t)) + th * ((x * x * x + t3) / (2.0 * t3))
         return float(out) if scalar else out
 
     def quantile(self, s) -> np.ndarray | float:

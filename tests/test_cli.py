@@ -581,13 +581,13 @@ def test_records_identical_across_threads(tmp_path, monkeypatch, command):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
     stem = command.replace("-", "_")
     texts = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         out = tmp_path / threads
         assert main([command, "--out", str(out), "--threads", threads,
                      *SMOKE_RUNS[command]]) == 0
         texts.append(_read(out / f"{stem}.csv"))
-    assert pools == [2]
-    assert texts[0] == texts[1]
+    assert pools == [1, 2]  # the calling process runs chunks beside threads - 1 workers
+    assert texts[0] == texts[1] == texts[2]
 
 
 @pytest.mark.parametrize("flag", [["--threads", "-3"], ["--set", "threads=-1"]])
@@ -634,3 +634,19 @@ class TestNumericalFailureExit:
         assert err.startswith("fit: numerical failure: ") and "n=4 " in err
         assert "certificate" in err
         assert not (tmp_path / "o.steps.csv").exists()
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    parser_class = cli.argparse.ArgumentParser
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return parser_class(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=counted))
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["emit-config", "tail-probe"]) == 0
+    assert built == ["monotone-wfi"]
+    assert capsys.readouterr().out.count("# monotone-wfi tail-probe configuration") == 3

@@ -407,6 +407,39 @@ class TestInverseProcess:
             inverse_process(S2, 1.5)
 
 
+def _fraction_index(cw, co, a):
+    """The inverse index with the tie-break in ``Fraction`` keys ``co - a * cw``."""
+    crit = (co - a * cw) / cw[-1]
+    near = np.flatnonzero(crit <= crit.min() + 1e-12)
+    keys = [Fraction(int(co[j])) - Fraction(a) * int(cw[j]) for j in near]
+    best = min(keys)
+    return int(near[max(k for k, key in enumerate(keys) if key == best)])
+
+
+class TestInverseTieBreak:
+    LEVELS = (0.0, 1.0, 0.5, 2.0**-60, 1.0 - 2.0**-53, 5e-324)
+
+    def test_integer_keys_pick_the_fraction_index(self):
+        rng = np.random.default_rng(20260808)
+        ties = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            dw = rng.integers(1, 4, n)
+            cw, co = _diagram(dw, rng.integers(0, dw + 1))  # step slopes 0, 1/3, 1/2, ..., 1
+            for a in self.LEVELS + (float(co[-1] / cw[-1]),):
+                crit = co - Fraction(a) * cw
+                ties += sum(1 for v in crit if v == min(crit)) > 1
+                assert estimator._inverse_index(cw, co, a) == _fraction_index(cw, co, a)
+        assert ties >= 100  # several exact minimizers, at a = 0, 1/2 and 1 most of all
+
+    @pytest.mark.parametrize("a", LEVELS)
+    def test_near_ties_below_float_resolution(self, a):
+        # equal ordinates: at the tiny levels every vertex is within 1e-12 of the float minimum
+        cw = np.array([0, 1, 2, 2**40, 2**40 + 1], dtype=np.int64)
+        co = np.array([0, 0, 0, 0, 0], dtype=np.int64)
+        assert estimator._inverse_index(cw, co, a) == _fraction_index(cw, co, a)
+
+
 class TestSwitchRelation:
     def test_worked_instance(self):
         assert switch_check(S2, 2.0, 0.6) == {"lhs": True, "rhs": True}

@@ -273,6 +273,15 @@ class TestClosedFormQuantile:
         worst = max(abs(_exact_cdf(law, xi) - Fraction(si)) for xi, si in zip(x, s))
         assert worst <= 2 * Fraction(np.finfo(float).eps)
 
+    @pytest.mark.parametrize("tilt", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("half_width", [0.3, 1.3])
+    def test_cdf_exact_at_the_ends_and_the_centre(self, half_width, tilt):
+        # T**3 and T * T * T round apart here, so x and T must be cubed alike
+        assert half_width**3 != half_width * half_width * half_width
+        law = FeatureLaw("polynomial", half_width, (tilt,))
+        assert law.cdf(np.array([-half_width, 0.0, half_width])).tolist() == [0.0, 0.5, 1.0]
+        assert (law.cdf(-half_width), law.cdf(0.0), law.cdf(half_width)) == (0.0, 0.5, 1.0)
+
     @pytest.mark.parametrize("half_width, tilt", QUANTILE_LAWS)
     def test_edge_values(self, half_width, tilt):
         law = FeatureLaw("polynomial", half_width, (tilt,))
