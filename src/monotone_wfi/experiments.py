@@ -5,15 +5,13 @@ experiment ``e`` at sample size ``n`` draws from the stream
 ``(seed_base; e[, sub], gamma_code, n, r)``, where ``gamma_code`` is
 ``round(gamma * 10^6)`` and only the consistency study (``e = 4``) has
 a ``sub`` id: 1 for its Hellinger half, 2 for its sup-norm half.  Serial
-and pooled runs (the calling process plus ``threads - 1`` forked workers)
-produce identical records, in replicate order.
+and worker-pool runs produce identical records, in replicate order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -161,38 +159,6 @@ def _chunk(stat, ids: tuple, scn: Scenario, arg, seed_base: int, n: int, reps) -
     return out
 
 
-def _pooled(tasks: list[tuple], workers: int) -> list[list[tuple]]:
-    """``_chunk`` of every task, in order, on ``workers`` forked workers and this process.
-
-    The workers take tasks from the front; this process runs tasks from
-    the back for as long as it can still cancel their queued futures and
-    no worker has failed.  If any chunk raises, the queued ones are
-    cancelled, the running ones finish, and the exception propagates.
-    """
-    pool = ProcessPoolExecutor(max_workers=workers)
-    failed = threading.Event()
-
-    def note(f) -> None:
-        if not f.cancelled() and f.exception() is not None:
-            failed.set()
-
-    try:
-        futures = [pool.submit(_chunk, *t) for t in tasks]
-        for f in futures:
-            f.add_done_callback(note)
-        own = []
-        k = len(tasks)
-        while k > 0 and not failed.is_set() and futures[k - 1].cancel():
-            k -= 1
-            own.append(_chunk(*tasks[k]))
-        parts = [f.result() for f in futures[:k]] + own[::-1]
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    pool.shutdown()
-    return parts
-
-
 def _replicates(heads, cfg: StudyConfig) -> list[list[tuple]]:
     """Records of every head ``(stat, ids, scn, arg, n)``: one list per head, in replicate order."""
     threads = os.cpu_count() or 1 if cfg.threads == 0 else max(1, cfg.threads)
@@ -207,7 +173,13 @@ def _replicates(heads, cfg: StudyConfig) -> list[list[tuple]]:
     if threads <= 1 or len(tasks) <= 1:
         parts = [_chunk(*t) for t in tasks]
     else:
-        parts = _pooled(tasks, threads - 1)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_chunk, *t) for t in tasks]
+            try:
+                parts = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # not finish the queue first
+                raise
     k = len(chunks)
     return [[rec for part in parts[i : i + k] for rec in part] for i in range(0, len(parts), k)]
 

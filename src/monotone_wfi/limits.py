@@ -10,11 +10,10 @@ discretize Gaussian paths on a fixed grid, in chunks of ``_CHUNK`` paths
 greatest convex minorant of a Gaussian path: the isotonic fit of the
 increments they draw, with no path built (:func:`_minorant_slopes`),
 checked in the tests against the monotone stack.  The covariance integral
-reads every shifted argmin off the same minorant.  Given two or more
-CPUs, these samplers draw their increments one block of paths ahead on
-one helper thread while the calling thread fits the block before
-(:func:`_increment_blocks`); the draws depend on neither the block size
-nor the core count.
+reads every shifted argmin off the same minorant.  These samplers draw
+their increments one block of paths ahead on one helper thread while the
+calling thread fits the block before (:func:`_increment_blocks`); the
+draws depend on neither the block size nor the core count.
 
 Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
 samplers live on a two-sided window [-S, S] with a confining drift; an
@@ -26,7 +25,6 @@ which a :class:`GridEscapeError` signals a mis-set grid.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -176,22 +174,13 @@ def brownian_increments(grid: PathGrid, m: int, rng, scale: float = 1.0) -> np.n
     return inc
 
 
-def _one_cpu() -> bool:
-    """Whether this process may run on one CPU only (its affinity mask, where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) == 1
-    return os.cpu_count() == 1
-
-
 def _increment_blocks(grid: PathGrid, m: int, rng, drift_inc, scale: float = 1.0):
     """``brownian_increments(grid, m, rng, scale) + drift_inc`` in blocks of ``_BLOCK`` rows.
 
     One helper thread draws the next block while the caller works on this
-    one; a process allowed on one CPU only draws each block in turn on
-    the calling thread instead, where a helper would only add switches.
-    Rows fill in C order and all work is per row, so the blocks are bit
-    for bit one ``m``-row draw either way.  Only the helper touches ``rng``
-    until the generator ends or is closed; either joins the helper.
+    one.  Rows fill in C order and all work is per row, so the blocks are
+    bit for bit one ``m``-row draw.  Only the helper touches ``rng`` until
+    the generator ends or is closed; either joins the helper.
     """
 
     def block(k: int) -> np.ndarray:
@@ -199,10 +188,6 @@ def _increment_blocks(grid: PathGrid, m: int, rng, drift_inc, scale: float = 1.0
         inc += drift_inc
         return inc
 
-    if _one_cpu():
-        for start in range(0, m, _BLOCK):
-            yield block(min(_BLOCK, m - start))
-        return
     with ThreadPoolExecutor(1) as helper:
         ahead = helper.submit(block, min(_BLOCK, m))
         for start in range(_BLOCK, m, _BLOCK):

@@ -586,7 +586,7 @@ def test_records_identical_across_threads(tmp_path, monkeypatch, command):
         assert main([command, "--out", str(out), "--threads", threads,
                      *SMOKE_RUNS[command]]) == 0
         texts.append(_read(out / f"{stem}.csv"))
-    assert pools == [1, 2]  # the calling process runs chunks beside threads - 1 workers
+    assert pools == [2, 3]
     assert texts[0] == texts[1] == texts[2]
 
 

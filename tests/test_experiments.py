@@ -344,53 +344,30 @@ class ChunkFailed(RuntimeError):
     pass
 
 
-def _pid_stat(scn, arg, n, sample) -> tuple:
-    return (os.getpid(),)
-
-
 def _failing_stat(scn, arg, n, sample) -> tuple:
-    """Marks one replicate in ``marks``; the first one run on the chosen side raises."""
-    marks, once, parent, inline = arg
+    """Marks one replicate in ``marks``; the first replicate run raises."""
+    marks, once = arg
     os.close(tempfile.mkstemp(dir=marks)[0])
     time.sleep(0.005)  # 35 ms a chunk, so that cancelling can beat the queue
-    if (os.getpid() == parent) == inline:
-        try:
-            os.mkdir(once)  # atomic: only the first caller gets past
-        except FileExistsError:
-            return (0.0,)
-        raise ChunkFailed(f"replicate of n = {n}")
-    return (0.0,)
+    try:
+        os.mkdir(once)  # atomic: only the first caller gets past
+    except FileExistsError:
+        return (0.0,)
+    raise ChunkFailed(f"replicate of n = {n}")
 
 
-class TestPool:
-    """``threads - 1`` forked workers take chunks from the front, this process from the back."""
-
-    HEADS = (64, 65, 66)  # three heads of 8 chunks of at most 7 replicates at threads = 2
-
-    def _heads(self, stat, arg):
-        return [(stat, (99,), _scn(0.25), arg, n) for n in self.HEADS]
-
-    def test_both_sides_run_chunks_records_in_order(self):
-        cfg = StudyConfig(_scn(0.25), (64,), 50, threads=2)
-        by_head = experiments._replicates(self._heads(_pid_stat, None), cfg)
-        assert [[rec[:2] for rec in recs] for recs in by_head] == [
-            [(n, r) for r in range(50)] for n in self.HEADS
-        ]
-        pids = {rec[2] for recs in by_head for rec in recs}
-        assert os.getpid() in pids and len(pids) == 2
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "worker"])
-    def test_a_failed_chunk_cancels_the_queued_ones(self, tmp_path, inline):
-        cfg = StudyConfig(_scn(0.25), (64,), 50, threads=2)
-        marks = tmp_path / "marks"
-        marks.mkdir()
-        arg = (str(marks), str(tmp_path / "failed"), os.getpid(), inline)
-        with pytest.raises(ChunkFailed, match="replicate of n = "):
-            experiments._replicates(self._heads(_failing_stat, arg), cfg)
-        assert multiprocessing.active_children() == []
-        # finishing the queue would run all 150 replicates
-        assert len(list(marks.iterdir())) < 150 // 2
+def test_a_failed_chunk_cancels_the_queued_ones(tmp_path):
+    # three heads of 8 chunks of at most 7 replicates at threads = 2
+    cfg = StudyConfig(_scn(0.25), (64,), 50, threads=2)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    arg = (str(marks), str(tmp_path / "failed"))
+    heads = [(_failing_stat, (99,), _scn(0.25), arg, n) for n in (64, 65, 66)]
+    with pytest.raises(ChunkFailed, match="replicate of n = "):
+        experiments._replicates(heads, cfg)
+    assert multiprocessing.active_children() == []
+    # finishing the queue would run all 150 replicates
+    assert len(list(marks.iterdir())) < 150 // 2
 
 
 class TestConsistencyStudy:

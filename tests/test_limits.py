@@ -453,27 +453,7 @@ class TestIncrementPipeline:
             assert sampler(rng).tobytes() == ref.tobytes(), block
             assert _state(rng.bit_generator.state) == _state(ref_rng.bit_generator.state)
 
-    def test_one_cpu_draws_on_the_calling_thread_alone(self, monkeypatch):
-        refs = {name: sampler(stream(409)) for name, sampler in self.SAMPLERS.items()}
-        monkeypatch.setattr(limits.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(limits.os, "cpu_count", lambda: 1)
-        started = []
-        start = threading.Thread.start
-
-        def counted(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        for name, sampler in self.SAMPLERS.items():
-            rng = stream(409)
-            assert sampler(rng).tobytes() == refs[name].tobytes(), name
-        assert started == []
-
     def test_fits_on_the_calling_thread_draws_on_the_helper(self, monkeypatch):
-        # the helper starts only where the process may use two CPUs
-        monkeypatch.setattr(limits.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(limits.os, "cpu_count", lambda: 2)
         fits, draws = [], []
         scaled_normals = limits._scaled_normals
 
