@@ -178,7 +178,7 @@ def _replicates(heads, cfg: StudyConfig) -> list[list[tuple]]:
             try:
                 parts = [f.result() for f in futures]
             except BaseException:
-                pool.shutdown(cancel_futures=True)  # not finish the queue first
+                pool.shutdown(cancel_futures=True)  # drop the queued chunks, not run them
                 raise
     k = len(chunks)
     return [[rec for part in parts[i : i + k] for rec in part] for i in range(0, len(parts), k)]
