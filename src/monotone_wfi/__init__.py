@@ -10,7 +10,6 @@ from .estimator import (
 )
 from .limits import (
     DEFAULT_TWO_SIDED_GRID,
-    DEFAULT_UNIT_GRID,
     LimitBatch,
     PathGrid,
     chernoff_abs_mean,
@@ -33,7 +32,6 @@ from .model import (
     link_eval,
     link_slope,
     phi_n,
-    sample_dataset,
 )
 from .streams import stream
 

@@ -41,13 +41,13 @@ from .estimator import HullCertificateError, npmle_fit
 from .limits import (
     DEFAULT_TWO_SIDED_GRID,
     GridEscapeError,
-    LAW_GRIDS,
     LAW_TAGS,
     PathGrid,
     check_cov_integral_args,
     chernoff_abs_mean,
     chernoff_abs_mean_mc,
     chernoff_cov_integral,
+    law_grid,
     sample_limit_batch,
 )
 from .metrics import QuadratureError
@@ -88,7 +88,7 @@ _COMMON_KEYS = {
     "out": ("str", "out"),
 }
 
-# none: the law's own value (limits.LAW_GRIDS)
+# none: the law's own value (limits.law_grid)
 _GRID_KEYS = {
     "grid.half_width": ("ofloat", None),
     "grid.step": ("ofloat", None),
@@ -392,7 +392,7 @@ def _cmd_simulate_limit(cfg: dict, args) -> int:
         x0=cfg["limit.x0"],
         beta=cfg["scenario.beta"],
         c=cfg["limit.c"],
-        grid=_build_grid(cfg, LAW_GRIDS[tag], tag),
+        grid=_build_grid(cfg, law_grid(tag, cfg["scenario.beta"]), tag),
     )
     out = _out_dir(cfg)
     _write_text(

@@ -7,8 +7,8 @@ as a chi_3 norm, and the fast-regime pointwise law from the stick-breaking
 faces of the minorant of W (:func:`fast_slope_batch`).  The others
 discretize Gaussian paths on a fixed grid, in chunks of ``_CHUNK`` paths
 (:func:`_chunked`).  Slope-type laws on a grid are the left slopes of the
-greatest convex minorant of a Gaussian path: the isotonic fit of the
-increments they draw, with no path built (:func:`_minorant_slopes`),
+greatest convex minorant of a Gaussian path: one kernel
+(:func:`_grid_draws`) fits the increments they draw, with no path built,
 checked in the tests against the monotone stack.  The covariance integral
 reads every shifted argmin off the same minorant.  These samplers draw
 their increments one block of paths ahead on one helper thread while the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
 import numpy as np
@@ -46,10 +46,10 @@ __all__ = [
     "LimitBatch",
     "CovIntegral",
     "DEFAULT_TWO_SIDED_GRID",
-    "DEFAULT_UNIT_GRID",
     "DEFAULT_EDGE_GRID",
     "LAW_GRIDS",
     "LAW_TAGS",
+    "law_grid",
     "brownian_paths",
     "brownian_increments",
     "chernoff_batch",
@@ -114,18 +114,28 @@ class PathGrid:
 
 
 DEFAULT_TWO_SIDED_GRID = PathGrid(4.0, 0.002, True)
-DEFAULT_UNIT_GRID = PathGrid(1.0, 2e-4, False)
 DEFAULT_EDGE_GRID = PathGrid(6.0, 1e-3, False)
 
-# each law's own window (None: drawn exactly); the order fixes each tag's stream id
+# each law's own window (None: drawn exactly); the order fixes each tag's stream id.
+# The tests' bias ledger bounds the grid laws' step and window bias.
 LAW_GRIDS: dict[str, PathGrid | None] = {
     "scaled_chernoff": None,
-    "slow_fbeta": DEFAULT_TWO_SIDED_GRID,
-    "boundary_gbc": DEFAULT_UNIT_GRID,
+    "slow_fbeta": PathGrid(4.0, 0.004, True),  # [-2, 2] from beta = 3 on (law_grid)
+    "boundary_gbc": PathGrid(1.0, 4e-4, False),
     "fast_w_slope": None,
     "l1_fast_maxA": None,
 }
 LAW_TAGS = tuple(LAW_GRIDS)
+
+
+def law_grid(law_tag: str, beta: int = 1) -> PathGrid | None:
+    """The law's own window at flatness order ``beta`` (:data:`LAW_GRIDS`).
+
+    The slow law's ``s^(beta+1)`` drift confines its minorant at 0 to [-2, 2]
+    from ``beta = 3`` on, where the window halves; the tests check both.
+    """
+    grid = LAW_GRIDS[law_tag]
+    return replace(grid, half_width=2.0) if law_tag == "slow_fbeta" and beta > 1 else grid
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -412,6 +422,27 @@ def _gcm_slope_batch(increments, slot: int, step: float) -> tuple[np.ndarray, np
     return np.array(out), np.array(touched, dtype=bool)
 
 
+def _each_path(increments, step: float, read) -> np.ndarray:
+    """``read(slopes)`` of each path's minorant slopes, one row per path."""
+    return np.array([read(slopes) for slopes, _ in _minorant_slopes(increments, step)])
+
+
+def _grid_draws(grid: PathGrid, m: int, rng, drift_inc, scale: float, read, *args):
+    """The one grid-slope kernel: ``m`` rows of ``read`` on ``scale * W + drift`` paths.
+
+    Per chunk (:func:`_chunked`), ``read(increments, *args)`` fits the blocks
+    of :func:`_increment_blocks` (drift increments ``drift_inc`` added):
+    :func:`_gcm_slope_batch` reads one slope, :func:`_each_path` any function
+    of a path's slopes.
+    """
+
+    def draw(k: int):
+        with closing(_increment_blocks(grid, k, rng, drift_inc, scale)) as inc:
+            return read(inc, *args)
+
+    return _chunked(m, draw)
+
+
 def check_slow_pointwise(link: LinkSpec, x0: float) -> None:
     """Raise unless the slow pointwise law holds: its drift expands the link at 0."""
     if link.beta > 1 and x0 != 0.0:
@@ -450,9 +481,10 @@ def slow_limit_batch(
     drift_inc = cache(lambda g: np.diff(coef * g.points() ** (link.beta + 1)))  # per window
     rng = _as_rng(seed_or_rng)
 
-    def draw(g: PathGrid, k: int):
-        with closing(_increment_blocks(g, k, rng, drift_inc(g), link.noise_scale)) as inc:
-            return _gcm_slope_batch(inc, g.n_steps - 1, g.step)  # increment ending at 0
+    def draw(g: PathGrid, k: int):  # the slope over the increment ending at 0
+        return _grid_draws(
+            g, k, rng, drift_inc(g), link.noise_scale, _gcm_slope_batch, g.n_steps - 1, g.step
+        )
 
     return _redraw_escapes(
         grid, m, draw, "minorant block at the origin kept touching the window boundary"
@@ -522,12 +554,9 @@ def boundary_limit_batch(
     drift_inc = np.diff(boundary_drift(c, link, law, x0, pts))
     slot = int(np.searchsorted(pts, float(law.cdf(x0)), side="left")) - 1
     rng = _as_rng(seed_or_rng)
-
-    def draw(k: int) -> np.ndarray:
-        with closing(_increment_blocks(grid, k, rng, drift_inc, link.noise_scale)) as inc:
-            return _gcm_slope_batch(inc, slot, grid.step)[0]
-
-    return _chunked(m, draw)
+    return _grid_draws(
+        grid, m, rng, drift_inc, link.noise_scale, _gcm_slope_batch, slot, grid.step
+    )[0]
 
 
 def l1_fast_batch(link: LinkSpec, m: int, seed_or_rng) -> np.ndarray:
@@ -651,16 +680,11 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
     twice_mid = s[:-1] + s[1:]  # drift slope over each increment
     half, lo, hi = n_inc // 2, n_inc // 3, 2 * n_inc // 3
 
-    def draw(k: int) -> np.ndarray:
-        excess = np.empty(k)
-        with closing(_increment_blocks(grid, k, rng, drift_inc)) as inc:
-            for i, (slopes, _) in enumerate(_minorant_slopes(inc, grid.step)):
-                profile = 0.5 * np.abs(slopes - twice_mid)
-                level = profile[lo:hi].mean()
-                excess[i] = grid.step * (profile[:half].sum() - half * level)
-        return excess
+    def path_excess(slopes: np.ndarray) -> float:
+        profile = 0.5 * np.abs(slopes - twice_mid)
+        return grid.step * (profile[:half].sum() - half * profile[lo:hi].mean())
 
-    excess = _chunked(m, draw)
+    excess = _grid_draws(grid, m, rng, drift_inc, 1.0, _each_path, grid.step, path_excess)
     return float(excess.mean()), float(excess.std(ddof=1) / math.sqrt(m))
 
 
@@ -720,22 +744,18 @@ def chernoff_cov_integral(
     n_a = int(round(a_max / a_step)) + 1
     a_values = a_step * np.arange(n_a)
 
-    def draw(k: int) -> np.ndarray:
-        shift = np.empty((k, n_a))
-        with closing(_increment_blocks(big, k, rng, drift_inc)) as inc:
-            for i, (slopes, _) in enumerate(_minorant_slopes(inc, big.step)):
-                # the largest minimizer of f(s) - 2 a s ends the last increment
-                # whose minorant slope is at most 2 a
-                x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
-                if np.any(np.abs(x_a) > 0.9 * big.half_width):
-                    raise GridEscapeError(
-                        "shifted argmin reached the enlarged window boundary; "
-                        "increase the base grid half-width"
-                    )
-                shift[i] = np.abs(x_a - a_values)
-        return shift
+    def path_shifts(slopes: np.ndarray) -> np.ndarray:
+        # the largest minimizer of f(s) - 2 a s ends the last increment
+        # whose minorant slope is at most 2 a
+        x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
+        if np.any(np.abs(x_a) > 0.9 * big.half_width):
+            raise GridEscapeError(
+                "shifted argmin reached the enlarged window boundary; "
+                "increase the base grid half-width"
+            )
+        return np.abs(x_a - a_values)
 
-    abs_shift = _chunked(m, draw)
+    abs_shift = _grid_draws(big, m, rng, drift_inc, 1.0, _each_path, big.step, path_shifts)
     abs_x0 = abs_shift[:, 0]  # the shift a = 0
     cov_curve = (abs_x0[:, None] * abs_shift).mean(axis=0) - abs_x0.mean() * abs_shift.mean(
         axis=0
@@ -879,7 +899,7 @@ def sample_limit_batch(
         raise ValueError(f"x0 must be interior to the feature support, got {x0}")
     if LAW_GRIDS[law_tag] is None and grid is not None:
         raise ValueError(f"{law_tag} is drawn exactly and takes no grid")
-    grid = grid or LAW_GRIDS[law_tag]
+    grid = grid or law_grid(law_tag, beta)
     rng = stream(seed, LAW_TAGS.index(law_tag))
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":

@@ -22,8 +22,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf, erfinv, logit
 
-from .streams import stream
-
 __all__ = [
     "LinkSpec",
     "LinkCurve",
@@ -37,9 +35,7 @@ __all__ = [
     "link_slope",
     "link_inverse",
     "phi_n",
-    "sample_dataset",
     "draw_sample",
-    "sample_to_csv_text",
     "sample_from_csv_text",
     "build_pointwise_hypotheses",
     "build_assouad_cube",
@@ -431,15 +427,6 @@ class Sample:
         return cls(xs[starts] + 0.0, np.add.reduceat(ys, starts), counts)
 
 
-def sample_to_csv_text(s: Sample) -> str:
-    """Two-column ``x,y`` text with one row per draw (weights expanded)."""
-    lines = ["x,y"]
-    for x, ones, w in zip(s.xs, s.ones, s.weights):
-        lines.extend(f"{format(float(x), '.17g')},1" for _ in range(int(ones)))
-        lines.extend(f"{format(float(x), '.17g')},0" for _ in range(int(w - ones)))
-    return "\n".join(lines) + "\n"
-
-
 def sample_from_csv_text(text: str) -> Sample:
     """Parse ``x,y`` rows (header required, labels 0/1, duplicates merged).
 
@@ -486,11 +473,6 @@ def draw_sample(scn: Scenario, n: int, rng: np.random.Generator) -> Sample:
     probs = link_eval(scn.link, scn.delta(n) * xs)
     ys = (u_y < probs).astype(np.int64)
     return Sample.from_draws(xs, ys)
-
-
-def sample_dataset(scn: Scenario, n: int, seed: int) -> Sample:
-    """Deterministic dataset of size ``n`` for the given seed."""
-    return draw_sample(scn, n, stream(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monotone_wfi import cli, estimator, experiments, limits, model
+from monotone_wfi import cli, estimator, experiments, limits
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -232,7 +232,8 @@ class TestSimulateLimit:
         assert main(["simulate-limit", "--config", str(cfg), "--out", str(tmp_path / "b"),
                      "--set", "limit.draws=5", "--set", "grid.step=none"]) == 0
         meta = json.loads(_read(tmp_path / "b" / "limit_batch.meta.json"))
-        assert meta["grid"] == {"half_width": 1.0, "step": 0.0002, "two_sided": False}
+        step = limits.LAW_GRIDS["boundary_gbc"].step
+        assert meta["grid"] == {"half_width": 1.0, "step": step, "two_sided": False}
 
     def test_step_alone_keeps_the_law_window(self, tmp_path):
         # the half-width and sidedness that are not set come from the law itself
@@ -594,7 +595,7 @@ def test_records_identical_across_threads(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command", sorted(SMOKE_RUNS))
 def test_negative_threads_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, flag):
     # a negative count used to run silently as one process
-    for module in (experiments, limits, model):
+    for module in (experiments, limits):
         monkeypatch.setattr(module, "stream", _no_draws)
     out = tmp_path / "out"
     assert main([command, "--out", str(out), *flag, *SMOKE_RUNS[command]]) == 2

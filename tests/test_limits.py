@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hull_oracle import lower_hull_indices
 from monotone_wfi.limits import (
     DEFAULT_EDGE_GRID,
     DEFAULT_TWO_SIDED_GRID,
-    DEFAULT_UNIT_GRID,
     GridEscapeError,
     LimitBatch,
     PathGrid,
@@ -35,6 +35,7 @@ from monotone_wfi.limits import (
     edge_layer_constant,
     fast_slope_batch,
     l1_fast_batch,
+    law_grid,
     local_width,
     mu_n,
     sample_limit_batch,
@@ -51,6 +52,7 @@ from monotone_wfi.streams import stream
 LOGISTIC = LinkSpec("logistic")
 UNIFORM = FeatureLaw("uniform", 1.0)
 POLY = FeatureLaw("polynomial", 1.0, (0.5,))
+FLAT3 = LinkSpec("beta_flat", beta=3)
 
 # The Chernoff law's moments: Var Z as published by Groeneboom & Wellner
 # (2001, JCGS 10), and E|Z| to 13 digits from the Airy density.
@@ -940,6 +942,102 @@ class TestLimitBatches:
             "boundary_gbc", 50, 78, link=LOGISTIC, law=UNIFORM, c=2.5, grid=COARSE_UNIT
         )
         assert b.params["c"] == 2.5
+
+
+class TestBiasLedger:
+    """Each grid slope law's own window, against a finer and a wider one.
+
+    Step: a path's increments summed in pairs are the same path on the grid
+    of twice the step, so one draw gives its slope at both steps (the
+    coupling of multilevel Monte Carlo, Giles 2008, Oper. Res. 56).  The
+    shift of E|.| from the old default step, half the law's own, stays
+    within 0.2 % of E|.|: a scale change that small moves a near-normal law
+    by about 0.0005 in KS distance, a quarter of the two-sample KS noise at
+    10^6 draws a side.  Window: the slope at 0 is the one on the doubled
+    window, with the same increments in the middle.
+    """
+
+    BUDGET = 0.002
+
+    @staticmethod
+    def _coupled(grid, drift, scale, slot, m, seed):
+        """``|slope|`` at step ``grid.step / 2`` and at ``grid.step``, one row per path."""
+        fine = replace(grid, step=grid.step / 2)
+
+        def both_steps(inc):
+            rows = []
+            for block in inc:
+                pairs = block.reshape(len(block), -1, 2).sum(axis=2)
+                rows.append([
+                    _gcm_slope_batch(block, slot(fine), fine.step)[0],
+                    _gcm_slope_batch(pairs, slot(grid), grid.step)[0],
+                ])
+            return np.abs(np.concatenate(rows, axis=1).T)
+
+        drift_inc = np.diff(drift(fine.points()))
+        return limits._grid_draws(fine, m, stream(seed), drift_inc, scale, both_steps)
+
+    def _assert_within_budget(self, draws):
+        fine, own = draws.T
+        shift = own.mean() - fine.mean()
+        se = (own - fine).std(ddof=1) / math.sqrt(own.size)
+        assert abs(shift) <= self.BUDGET * own.mean(), (shift, se, own.mean())
+
+    def test_boundary_step(self):
+        # simulate-limit's default boundary scenario: logistic link, uniform law, x0 = 0, c = 1
+        grid, t0 = law_grid("boundary_gbc"), float(UNIFORM.cdf(0.0))
+        draws = self._coupled(
+            grid,
+            lambda s: boundary_drift(1.0, LOGISTIC, UNIFORM, 0.0, s),
+            LOGISTIC.noise_scale,
+            lambda g: int(np.searchsorted(g.points(), t0, side="left")) - 1,
+            8192,
+            501,
+        )
+        self._assert_within_budget(draws)
+
+    @pytest.mark.parametrize("link, m, seed", [(LOGISTIC, 6144, 502), (FLAT3, 10240, 503)])
+    def test_slow_step(self, link, m, seed):
+        coef = limits._slow_drift_coeff(link, UNIFORM, 0.0)
+        draws = self._coupled(
+            law_grid("slow_fbeta", link.beta),
+            lambda s: coef * s ** (link.beta + 1),
+            link.noise_scale,
+            lambda g: g.n_steps - 1,
+            m,
+            seed,
+        )
+        self._assert_within_budget(draws)
+
+    @staticmethod
+    def _same_slope_on_the_doubled_window(link, m, seed):
+        """Per path: is the slope at 0 on the law's window the one on its double?"""
+        narrow = law_grid("slow_fbeta", link.beta)
+        wide = narrow.doubled()
+        cut = wide.n_steps - narrow.n_steps
+        coef = limits._slow_drift_coeff(link, UNIFORM, 0.0)
+
+        def same(inc):
+            rows = []
+            for block in inc:
+                inner = block[:, cut : block.shape[1] - cut]
+                at_narrow = _gcm_slope_batch(inner, narrow.n_steps - 1, narrow.step)[0]
+                at_wide = _gcm_slope_batch(block, wide.n_steps - 1, wide.step)[0]
+                rows.append(at_narrow == at_wide)
+            return np.concatenate(rows)
+
+        drift_inc = np.diff(coef * wide.points() ** (link.beta + 1))
+        return limits._grid_draws(wide, m, stream(seed), drift_inc, link.noise_scale, same)
+
+    @pytest.mark.parametrize("beta, seed", [(3, 504), (5, 505)])
+    def test_flat_slow_window_keeps_every_slope(self, beta, seed):
+        same = self._same_slope_on_the_doubled_window(LinkSpec("beta_flat", beta=beta), 2048, seed)
+        assert same.all(), int((~same).sum())
+
+    def test_linear_slow_window_keeps_its_slopes(self):
+        # the quadratic drift confines the minorant less: [-2, 2] moves 174 of these slopes
+        same = self._same_slope_on_the_doubled_window(LOGISTIC, 2048, 506)
+        assert same.mean() >= 0.995, int((~same).sum())
 
 
 class TestGridRefinementStability:

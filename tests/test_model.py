@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from link_oracle import logistic_split
+from sample_oracle import sample_dataset, sample_to_csv_text
 from scipy.integrate import quad
 from scipy.special import erf
 
@@ -28,7 +29,6 @@ from monotone_wfi.model import (
     link_inverse,
     link_slope,
     phi_n,
-    sample_dataset,
     slope_band_report,
 )
 from monotone_wfi.streams import stream
@@ -655,7 +655,7 @@ class TestSlopeBand:
 
 class TestSampleCsv:
     def test_round_trip(self):
-        from monotone_wfi.model import sample_from_csv_text, sample_to_csv_text
+        from monotone_wfi.model import sample_from_csv_text
 
         s = Sample.from_draws([1.5, 1.5, 2.0, 3.25], [1, 0, 1, 1])
         back = sample_from_csv_text(sample_to_csv_text(s))
