@@ -20,7 +20,6 @@ linear ramp gives the estimator's generalized inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -221,32 +220,25 @@ def _inverse_index(cw: np.ndarray, co: np.ndarray, a: float) -> int:
     return int(near[max(k for k, key in enumerate(keys) if key == best)])
 
 
-def _fitted_value_exact(cw: np.ndarray, co: np.ndarray, keep: np.ndarray, k: int) -> Fraction:
-    """Fitted value at the k-th block as an exact ratio of counts (0 at k = 0).
-
-    ``keep`` holds the minorant's vertex indices.
-    """
-    if k == 0:
-        return Fraction(0)
-    j = int(np.searchsorted(keep, k))
-    a, b = int(keep[j - 1]), int(keep[j])
-    return Fraction(int(co[b] - co[a]), int(cw[b] - cw[a]))
-
-
 def switch_check(s: Sample, x: float, a: float) -> dict:
     """Strict switch relation: fitted value above ``a`` iff inverse left of x.
 
     ``lhs`` is ``fit(x) > a``; ``rhs`` is ``inverse(a) < F_n(x)`` with the
     inverse taken as the largest minimizer.  Both sides are evaluated in
-    exact rational arithmetic, so the equivalence holds for every ``x``
-    within the sample range and every ``a`` in [0, 1], ties included.
-    The cusums and the minorant come from ``s.diagram``, built once per
-    sample; the inverse is the scan of :func:`inverse_process`.
+    exact integer arithmetic on ``a = p / q``, so the equivalence holds for
+    every ``x`` within the sample range and every ``a`` in [0, 1], ties
+    included.  The cusums and the minorant come from ``s.diagram``, built
+    once per sample; the inverse is the scan of :func:`inverse_process`.
+    The fit at block ``k > 0`` is the count ratio of the minorant face
+    over it, and 0 at ``k = 0``.
     """
     cw, co, keep = s.diagram
     k = int(np.searchsorted(s.xs, x, side="right"))
-    lhs = _fitted_value_exact(cw, co, keep, k) > Fraction(a)
     rhs = _inverse_index(cw, co, a) < k
+    p, q = float(a).as_integer_ratio()
+    j = int(np.searchsorted(keep, k))
+    lo, hi = keep[j - 1], keep[j]
+    lhs = k > 0 and int(co[hi] - co[lo]) * q > p * int(cw[hi] - cw[lo])
     return {"lhs": bool(lhs), "rhs": bool(rhs)}
 
 

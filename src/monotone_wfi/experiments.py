@@ -448,27 +448,23 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
             f"{case}: {quantity} = {value:.6g} <= {budget:.6g} < 2"
         )
 
-    # fast two-point pair
-    fast = build_pointwise_hypotheses(cfg.delta_fast, cfg.n_fast, c_fast, law, cfg.x0)
-    for name, fn in (("upper", fast.upper), ("lower", fast.lower)):
-        flags[f"fast:{name}_membership"] = in_slope_band(fn, cfg.delta_fast, law.half_width)
-    d = hellinger(fast.upper, fast.lower, law, q)
-    push("fast_pair", "n_d2", cfg.n_fast * d * d, 4.0 * c_fast**2)
-    sep_target = 2.0 * c_fast * max(
-        cfg.n_fast ** (-0.5), (cfg.n_fast / cfg.delta_fast) ** (-1.0 / 3.0)
-    )
-    flags["fast:separation_exact"] = abs(fast.separation - sep_target) < 1e-12
-
-    # slow two-point pair
-    slow = build_pointwise_hypotheses(cfg.delta_slow, cfg.n_slow, c_slow, law, cfg.x0)
-    for name, fn in (("upper", slow.upper), ("lower", slow.lower)):
-        flags[f"slow:{name}_membership"] = in_slope_band(fn, cfg.delta_slow, law.half_width)
-    d = hellinger(slow.upper, slow.lower, law, q)
-    push("slow_pair", "n_d2", cfg.n_slow * d * d, 64.0 * c_slow**3 * sup_p)
-    sep_target = 2.0 * c_slow * max(
-        cfg.n_slow ** (-0.5), (cfg.n_slow / cfg.delta_slow) ** (-1.0 / 3.0)
-    )
-    flags["slow:separation_exact"] = abs(slow.separation - sep_target) < 1e-12
+    alpha = {
+        "fast": 4.0 * c_fast**2,
+        "slow": 64.0 * c_slow**3 * sup_p,
+        "cube": 64.0 * c_cube**3 * sup_p,
+    }
+    pairs = {}  # the fast and the slow two-point pair
+    for case, delta, n, c in (
+        ("fast", cfg.delta_fast, cfg.n_fast, c_fast),
+        ("slow", cfg.delta_slow, cfg.n_slow, c_slow),
+    ):
+        pair = pairs[f"{case}_pair"] = build_pointwise_hypotheses(delta, n, c, law, cfg.x0)
+        for name, fn in (("upper", pair.upper), ("lower", pair.lower)):
+            flags[f"{case}:{name}_membership"] = in_slope_band(fn, delta, law.half_width)
+        d = hellinger(pair.upper, pair.lower, law, q)
+        push(f"{case}_pair", "n_d2", n * d * d, alpha[case])
+        sep_target = 2.0 * c * max(n ** (-0.5), (n / delta) ** (-1.0 / 3.0))
+        flags[f"{case}:separation_exact"] = abs(pair.separation - sep_target) < 1e-12
 
     # hypercube, cell by cell
     cube = build_assouad_cube(cfg.delta_slow, cfg.n_slow, c_cube, law.half_width)
@@ -477,24 +473,19 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
     flags["cube:ones_membership"] = in_slope_band(
         cube.function(np.ones(cube.m, dtype=int)), cfg.delta_slow, law.half_width
     )
-    l1_bound = cube.one_flip_l1_lower_bound()
+    gap_ok = cube.one_flip_l1() >= cube.one_flip_l1_lower_bound() - 1e-15
     for k in range(cube.m):
         bits = np.zeros(cube.m, dtype=int)
         bits[k] = 1
         flipped = cube.function(bits)
         d = hellinger(base, flipped, law, q)
-        push(f"cube_flip_{k}", "n_d2", cfg.n_slow * d * d, 64.0 * c_cube**3 * sup_p)
-        gap = cube.one_flip_l1()
-        flags[f"cube_flip_{k}:l1_gap"] = gap >= l1_bound - 1e-15
+        push(f"cube_flip_{k}", "n_d2", cfg.n_slow * d * d, alpha["cube"])
+        flags[f"cube_flip_{k}:l1_gap"] = gap_ok
 
     manifest = {
         "study": "lower_bound_audit",
         "constants": {"fast": c_fast, "slow": c_slow, "cube": c_cube},
-        "alpha": {
-            "fast": 4.0 * c_fast**2,
-            "slow": 64.0 * c_slow**3 * sup_p,
-            "cube": 64.0 * c_cube**3 * sup_p,
-        },
+        "alpha": alpha,
         "cube_cells": cube.m,
         "inequalities": inequalities,
         "flags": flags,
@@ -502,9 +493,9 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
     return StudyResult(
         ("case", "quantity", "value", "budget", "ok"),
         records,
-        {"alpha": manifest["alpha"]},
+        {"alpha": alpha},
         manifest,
-        {"fast_pair": fast, "slow_pair": slow, "cube": cube},
+        {**pairs, "cube": cube},
     )
 
 

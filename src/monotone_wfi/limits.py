@@ -5,13 +5,14 @@ whole batch.  Three laws are drawn exactly: the Chernoff law by inversion
 of its Airy-function CDF (:func:`chernoff_table`), the fast-regime L1 law
 as a chi_3 norm, and the fast-regime pointwise law from the stick-breaking
 faces of the minorant of W (:func:`fast_slope_batch`).  The others
-discretize Gaussian paths on a fixed grid, in chunks of ``_CHUNK`` paths
-(:func:`_chunked`).  Slope-type laws on a grid are the left slopes of the
-greatest convex minorant of a Gaussian path: one kernel
-(:func:`_grid_draws`) fits the increments they draw, with no path built,
+discretize Gaussian paths on a fixed grid; the argmin samplers build them
+in chunks of ``_CHUNK`` paths (:func:`_chunked`) to bound their memory.
+Slope-type laws on a grid are the left slopes of the greatest convex
+minorant of a Gaussian path: one kernel (:func:`_grid_draws`) hands each
+path's drawn increments, with no path built, to a reader that fits them,
 checked in the tests against the monotone stack.  The covariance integral
-reads every shifted argmin off the same minorant.  These samplers draw
-their increments one block of paths ahead on one helper thread while the
+reads every shifted argmin off the same minorant.  The kernel draws the
+increments one block of paths ahead on one helper thread while the
 calling thread fits the block before (:func:`_increment_blocks`); the
 draws depend on neither the block size nor the core count.
 
@@ -240,7 +241,7 @@ def _redraw_escapes(grid: PathGrid, m: int, draw, what: str) -> np.ndarray:
     for level in range(4):
         if level:
             g = g.doubled()
-        values, escaped = _chunked(pending.size, partial(draw, g))
+        values, escaped = draw(g, pending.size)
         out[pending] = values
         pending = pending[escaped]
         if pending.size == 0:
@@ -272,7 +273,10 @@ def argmin_quadratic_batch(
         return x, np.abs(x) > 0.9 * g.half_width
 
     return _redraw_escapes(
-        grid, m, draw, f"argmin stayed within the outer 10% (a={a}, b={b}, c={c})"
+        grid,
+        m,
+        lambda g, k: _chunked(k, partial(draw, g)),
+        f"argmin stayed within the outer 10% (a={a}, b={b}, c={c})",
     )
 
 
@@ -392,55 +396,33 @@ def chernoff_exact_batch(m: int, seed_or_rng) -> np.ndarray:
 # greatest-convex-minorant slope samplers
 
 
-def _minorant_slopes(increments, step: float, at=slice(None)):
-    """Each path's greatest convex minorant: ``(slopes[at], blocks)`` path by path.
+def _slope_at(row: np.ndarray, slot: int, step: float) -> tuple[float, bool]:
+    """Left minorant slope at increment ``slot`` of one path's drawn increments.
 
-    ``increments`` is one array or an iterable of arrays (the blocks of
-    :func:`_increment_blocks`) whose rows hold a path's drawn increments; no
-    path is built.  Their isotonic fit is the grid step times the
-    minorant's slope over each increment; ``blocks`` holds the fit's block
-    starts followed by the increment count: the minorant's vertex indices.
+    The increments' isotonic fit is the grid step times the minorant's
+    slope over each increment; its block starts, followed by the increment
+    count, are the minorant's vertex indices.  Also returns whether the
+    block at ``slot`` touches the grid boundary (window too small to
+    localize the slope).
     """
-    for block in [increments] if isinstance(increments, np.ndarray) else increments:
-        for row in block:
-            res = isotonic_regression(row)
-            yield res.x[at] / step, res.blocks
+    res = isotonic_regression(row)
+    blocks = res.blocks
+    b = int(np.searchsorted(blocks, slot, side="right")) - 1
+    return res.x[slot] / step, blocks[b] == 0 or blocks[b + 1] == blocks[-1]
 
 
-def _gcm_slope_batch(increments, slot: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left minorant slope at increment ``slot`` per row of path increments.
+def _grid_draws(grid: PathGrid, m: int, rng, drift_inc, scale: float, read) -> np.ndarray:
+    """The one grid-slope kernel: ``read(row)`` for each of ``m`` paths of ``scale * W + drift``.
 
-    Returns the slopes and a flag marking paths whose minorant block at
-    ``slot`` touches the grid boundary (window too small to localize the
-    slope).
+    ``row`` holds one path's increments, drift increments ``drift_inc``
+    added, from the blocks of :func:`_increment_blocks`; no path is built.
+    A reader fits its row (:func:`_slope_at`, or the isotonic fit itself)
+    and returns a value or a tuple of values: one row of the result.
     """
-    out, touched = [], []
-    for slope, blocks in _minorant_slopes(increments, step, slot):
-        out.append(slope)
-        b = int(np.searchsorted(blocks, slot, side="right")) - 1
-        touched.append(blocks[b] == 0 or blocks[b + 1] == blocks[-1])
-    return np.array(out), np.array(touched, dtype=bool)
-
-
-def _each_path(increments, step: float, read) -> np.ndarray:
-    """``read(slopes)`` of each path's minorant slopes, one row per path."""
-    return np.array([read(slopes) for slopes, _ in _minorant_slopes(increments, step)])
-
-
-def _grid_draws(grid: PathGrid, m: int, rng, drift_inc, scale: float, read, *args):
-    """The one grid-slope kernel: ``m`` rows of ``read`` on ``scale * W + drift`` paths.
-
-    Per chunk (:func:`_chunked`), ``read(increments, *args)`` fits the blocks
-    of :func:`_increment_blocks` (drift increments ``drift_inc`` added):
-    :func:`_gcm_slope_batch` reads one slope, :func:`_each_path` any function
-    of a path's slopes.
-    """
-
-    def draw(k: int):
-        with closing(_increment_blocks(grid, k, rng, drift_inc, scale)) as inc:
-            return read(inc, *args)
-
-    return _chunked(m, draw)
+    if m < 1:
+        raise ValueError(f"a batch needs at least one path, got {m}")
+    with closing(_increment_blocks(grid, m, rng, drift_inc, scale)) as blocks:
+        return np.array([read(row) for block in blocks for row in block])
 
 
 def check_slow_pointwise(link: LinkSpec, x0: float) -> None:
@@ -482,9 +464,9 @@ def slow_limit_batch(
     rng = _as_rng(seed_or_rng)
 
     def draw(g: PathGrid, k: int):  # the slope over the increment ending at 0
-        return _grid_draws(
-            g, k, rng, drift_inc(g), link.noise_scale, _gcm_slope_batch, g.n_steps - 1, g.step
-        )
+        read = partial(_slope_at, slot=g.n_steps - 1, step=g.step)
+        slopes, touched = _grid_draws(g, k, rng, drift_inc(g), link.noise_scale, read).T
+        return slopes, touched.astype(bool)
 
     return _redraw_escapes(
         grid, m, draw, "minorant block at the origin kept touching the window boundary"
@@ -555,8 +537,8 @@ def boundary_limit_batch(
     slot = int(np.searchsorted(pts, float(law.cdf(x0)), side="left")) - 1
     rng = _as_rng(seed_or_rng)
     return _grid_draws(
-        grid, m, rng, drift_inc, link.noise_scale, _gcm_slope_batch, slot, grid.step
-    )[0]
+        grid, m, rng, drift_inc, link.noise_scale, lambda row: _slope_at(row, slot, grid.step)[0]
+    )
 
 
 def l1_fast_batch(link: LinkSpec, m: int, seed_or_rng) -> np.ndarray:
@@ -680,11 +662,11 @@ def edge_layer_constant(grid: PathGrid, m: int, seed_or_rng) -> tuple[float, flo
     twice_mid = s[:-1] + s[1:]  # drift slope over each increment
     half, lo, hi = n_inc // 2, n_inc // 3, 2 * n_inc // 3
 
-    def path_excess(slopes: np.ndarray) -> float:
-        profile = 0.5 * np.abs(slopes - twice_mid)
+    def path_excess(row: np.ndarray) -> float:
+        profile = 0.5 * np.abs(isotonic_regression(row).x / grid.step - twice_mid)
         return grid.step * (profile[:half].sum() - half * profile[lo:hi].mean())
 
-    excess = _grid_draws(grid, m, rng, drift_inc, 1.0, _each_path, grid.step, path_excess)
+    excess = _grid_draws(grid, m, rng, drift_inc, 1.0, path_excess)
     return float(excess.mean()), float(excess.std(ddof=1) / math.sqrt(m))
 
 
@@ -744,9 +726,10 @@ def chernoff_cov_integral(
     n_a = int(round(a_max / a_step)) + 1
     a_values = a_step * np.arange(n_a)
 
-    def path_shifts(slopes: np.ndarray) -> np.ndarray:
+    def path_shifts(row: np.ndarray) -> np.ndarray:
         # the largest minimizer of f(s) - 2 a s ends the last increment
         # whose minorant slope is at most 2 a
+        slopes = isotonic_regression(row).x / big.step
         x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
         if np.any(np.abs(x_a) > 0.9 * big.half_width):
             raise GridEscapeError(
@@ -755,21 +738,18 @@ def chernoff_cov_integral(
             )
         return np.abs(x_a - a_values)
 
-    abs_shift = _grid_draws(big, m, rng, drift_inc, 1.0, _each_path, big.step, path_shifts)
+    def cov(x0: np.ndarray, shifts: np.ndarray) -> np.ndarray:  # Cov(|X(0)|, |X(a) - a|) per a
+        return (x0[:, None] * shifts).mean(axis=0) - x0.mean() * shifts.mean(axis=0)
+
+    abs_shift = _grid_draws(big, m, rng, drift_inc, 1.0, path_shifts)
     abs_x0 = abs_shift[:, 0]  # the shift a = 0
-    cov_curve = (abs_x0[:, None] * abs_shift).mean(axis=0) - abs_x0.mean() * abs_shift.mean(
-        axis=0
-    )
+    cov_curve = cov(abs_x0, abs_shift)
     estimate = float(np.trapezoid(cov_curve, a_values))
-    boots = np.empty(bootstrap)
     boot_curves = np.empty((bootstrap, n_a))
     for b in range(bootstrap):
         idx = rng.integers(0, m, m)
-        a0 = abs_x0[idx]
-        sh = abs_shift[idx]
-        curve = (a0[:, None] * sh).mean(axis=0) - a0.mean() * sh.mean(axis=0)
-        boot_curves[b] = curve
-        boots[b] = np.trapezoid(curve, a_values)
+        boot_curves[b] = cov(abs_x0[idx], abs_shift[idx])
+    boots = np.trapezoid(boot_curves, a_values, axis=1)
     return CovIntegral(
         estimate,
         float(boots.std(ddof=1)),

@@ -23,7 +23,6 @@ from monotone_wfi.estimator import (
 from monotone_wfi import estimator
 from monotone_wfi.estimator import (
     _cusums,
-    _fitted_value_exact,
     _minorant_indices,
 )
 from monotone_wfi.model import FeatureLaw, LinkSpec, Sample, Scenario, draw_sample
@@ -223,16 +222,26 @@ class TestExactnessProperties:
 
 
 class TestLeftDerivative:
+    """The exact fit at each sample point, read off ``switch_check``'s ``lhs``.
+
+    The fit equals ``v`` when it is not above ``a = v`` but is above the
+    next float below ``v`` (for ``v = 0`` the first suffices: no fit is negative).
+    """
+
+    @staticmethod
+    def _fits_at(s, values):
+        for x, v in zip(s.xs, values):
+            assert switch_check(s, float(x), v)["lhs"] is False, (x, v)
+            if v > 0:
+                assert switch_check(s, float(x), np.nextafter(v, 0.0))["lhs"] is True, (x, v)
+
     def test_single_segment(self):
-        s = Sample.from_draws([1.0, 2.0, 3.0], [1, 1, 1])
-        cw, co, keep = s.diagram
-        assert [_fitted_value_exact(cw, co, keep, k) for k in (1, 2, 3)] == [1, 1, 1]
+        self._fits_at(Sample.from_draws([1.0, 2.0, 3.0], [1, 1, 1]), [1.0, 1.0, 1.0])
 
     def test_segment_boundaries_take_left_limit(self):
         cw, co, keep = S4.diagram
         assert list(keep) == list(_minorant_indices(cw, co)) == [0, 1, 3, 4]
-        vals = [_fitted_value_exact(cw, co, keep, k) for k in (1, 2, 3, 4)]
-        assert vals == [0, Fraction(1, 2), Fraction(1, 2), 1]
+        self._fits_at(S4, [0.0, 0.5, 0.5, 1.0])
 
 
 def _brute_force_best_monotone(sample, grid_step=0.01):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -43,7 +44,7 @@ from monotone_wfi.limits import (
     slow_limit_batch,
 )
 from monotone_wfi import limits
-from monotone_wfi.limits import _argmin_last, _break_sticks, _chunked, _gcm_slope_batch
+from monotone_wfi.limits import _argmin_last, _break_sticks, _chunked, _slope_at
 from monotone_wfi.estimator import npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
@@ -227,6 +228,8 @@ class TestBatchDrivers:
             assert np.array_equal(index, np.concatenate([np.arange(k) for k in sizes]))
         with pytest.raises(ValueError, match="at least one path"):
             _chunked(0, lambda k: np.zeros(k))
+        with pytest.raises(ValueError, match="at least one path"):  # the grid-slope kernel
+            boundary_limit_batch(1.0, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, 0, 1)
 
     @staticmethod
     def _hand_pass(grid, sizes, rng):
@@ -279,10 +282,10 @@ class TestGcmSlopeMachinery:
         rng = stream(99)
         paths = brownian_paths(g, 40, rng) + 0.3 * s[None, :] ** 2
         for at, slot in ((0.5, 49), (0.37, 36)):
-            iso, _ = _gcm_slope_batch(np.diff(paths, axis=1), slot, g.step)
-            for i in range(paths.shape[0]):
-                hull = _hull_left_slope(s, paths[i], at)
-                assert iso[i] == pytest.approx(hull, abs=1e-10)
+            for path in paths:
+                iso, _ = _slope_at(np.diff(path), slot, g.step)
+                hull = _hull_left_slope(s, path, at)
+                assert iso == pytest.approx(hull, abs=1e-10)
 
     def test_zero_noise_slow_drift_has_flat_minorant_at_origin(self):
         # an even convex drift has zero left slope at the origin; the grid
@@ -307,18 +310,26 @@ class TestIncrementRoute:
 
     @staticmethod
     def _spy(monkeypatch) -> list:
+        """The ``(slope, touched)`` of every path fit by the samplers, in order."""
         fits = []
 
-        def recorded(*args):
-            fits.append(_gcm_slope_batch(*args))
+        def recorded(*args, **kwargs):
+            fits.append(_slope_at(*args, **kwargs))
             return fits[-1]
 
-        monkeypatch.setattr(limits, "_gcm_slope_batch", recorded)
+        monkeypatch.setattr(limits, "_slope_at", recorded)
         return fits
 
     @staticmethod
     def _assert_close(new, old):
         assert np.all(np.abs(new - old) <= 1e-12 * np.abs(old))
+
+    def _assert_same_fits(self, new_fits, old_fits):
+        (new_slopes, new_touched), (old_slopes, old_touched) = (
+            np.array(new_fits).T, np.array(old_fits).T
+        )
+        self._assert_close(new_slopes, old_slopes)
+        assert np.array_equal(new_touched, old_touched)
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_increments_are_the_path_differences(self, grid):
@@ -344,14 +355,15 @@ class TestIncrementRoute:
 
         def old_draw(g, k):
             p = LOGISTIC.noise_scale * brownian_paths(g, k, twin) + coef * g.points() ** 2
-            old_fits.append(_gcm_slope_batch(np.diff(p, axis=1), g.n_steps - 1, g.step))
-            return old_fits[-1]
+            fits = [_slope_at(row, g.n_steps - 1, g.step) for row in np.diff(p, axis=1)]
+            old_fits.extend(fits)
+            slopes, touched = np.array(fits).T
+            return slopes, touched.astype(bool)
 
         old = limits._redraw_escapes(grid, m, old_draw, "escaped")
-        assert len(new_fits) == len(old_fits) == 3 and new_fits[0][1].any()
-        for (new_slopes, new_touched), (old_slopes, old_touched) in zip(new_fits, old_fits):
-            self._assert_close(new_slopes, old_slopes)
-            assert np.array_equal(new_touched, old_touched)
+        # the first m fits are the first pass; the rest redraw its touched paths
+        assert len(new_fits) == len(old_fits) > m and any(t for _, t in new_fits[:m])
+        self._assert_same_fits(new_fits, old_fits)
         self._assert_close(new, old)
 
     @pytest.mark.parametrize("c", [0.0, 2.0])
@@ -365,18 +377,13 @@ class TestIncrementRoute:
         new_fits = self._spy(monkeypatch)
         new = boundary_limit_batch(c, LOGISTIC, POLY, 0.3, grid, m, rng)
         old_fits = [
-            _gcm_slope_batch(
-                np.diff(LOGISTIC.noise_scale * brownian_paths(grid, k, twin) + drift, axis=1),
-                slot,
-                grid.step,
-            )
+            _slope_at(row, slot, grid.step)
             for k in (512, 88)
+            for row in np.diff(LOGISTIC.noise_scale * brownian_paths(grid, k, twin) + drift, axis=1)
         ]
-        assert len(new_fits) == 2
-        for (new_slopes, new_touched), (old_slopes, old_touched) in zip(new_fits, old_fits):
-            self._assert_close(new_slopes, old_slopes)
-            assert np.array_equal(new_touched, old_touched)
-        self._assert_close(new, np.concatenate([f[0] for f in old_fits]))
+        assert len(new_fits) == m
+        self._assert_same_fits(new_fits, old_fits)
+        self._assert_close(new, np.array([slope for slope, _ in old_fits]))
 
     def test_edge_constant_matches_the_path_route(self):
         grid, m = PathGrid(6.0, 0.01, False), 300
@@ -416,9 +423,9 @@ class TestIncrementPipeline:
     """The slope samplers draw each block of increments on one helper thread.
 
     The draws and the randomness they consume must equal those of one
-    serial draw per chunk (:func:`_serial_blocks`) at every block size: one
-    path per block, a size that does not divide the chunk, the default, and
-    one block for the whole chunk.
+    serial draw per batch (:func:`_serial_blocks`) at every block size: one
+    path per block, a size that does not divide every batch, the default,
+    and one block longer than an argmin chunk.
     """
 
     BLOCKS = (1, 3, limits._BLOCK, limits._CHUNK + 1)
@@ -484,6 +491,33 @@ class TestIncrementPipeline:
             escaped = exc  # its traceback keeps the sampler's frames alive
         assert "enlarged window boundary" in str(escaped)
         assert threading.active_count() == baseline
+
+    def test_one_helper_per_batch_or_escape_level(self, monkeypatch):
+        # the kernel draws a whole batch, or an escape level's pending draws,
+        # through one helper: no chunks of 512 paths, each with its own
+        started, grids = [], []
+        increment_blocks = limits._increment_blocks
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        def recorded(grid, *args):
+            grids.append(grid)
+            return increment_blocks(grid, *args)
+
+        monkeypatch.setattr(limits, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(limits, "_increment_blocks", recorded)
+        boundary_limit_batch(2.0, LOGISTIC, POLY, 0.3, PathGrid(1.0, 0.005, False), 1100, 409)
+        assert len(started) == 1
+        chernoff_cov_integral(PathGrid(4.0, 0.04, True), 3.0, 0.25, 1100, 410, 2)
+        assert len(started) == 2
+        started.clear()
+        grids.clear()
+        slow_limit_batch(LOGISTIC, UNIFORM, 0.0, self.ESCAPING, 1100, 411)
+        assert grids[:2] == [self.ESCAPING, self.ESCAPING.doubled()]
+        assert len(started) == len(grids) == len(set(grids))
 
     def test_helper_joined_after_its_draw_fails(self, monkeypatch):
         class DrawFailed(RuntimeError):
@@ -790,13 +824,14 @@ class TestMonteCarloConstants:
         # rebuilt from a twin stream, ties to the largest index, against
         # the one minorant per path
         shifts = []
+        grid_draws = limits._grid_draws
 
-        def kept_shifts(m, draw):
-            out = _chunked(m, draw)
+        def kept_shifts(*args):
+            out = grid_draws(*args)
             shifts.append(out)
             return out
 
-        monkeypatch.setattr(limits, "_chunked", kept_shifts)
+        monkeypatch.setattr(limits, "_grid_draws", kept_shifts)
         rng = stream(68)
         twin = _twin(rng)
         res = chernoff_cov_integral(PathGrid(2.0, 0.01, True), 3.0, 0.25, 600, rng, bootstrap=2)
@@ -963,16 +998,14 @@ class TestBiasLedger:
     def _coupled(grid, drift, scale, slot, m, seed):
         """``|slope|`` at step ``grid.step / 2`` and at ``grid.step``, one row per path."""
         fine = replace(grid, step=grid.step / 2)
+        fine_slot, own_slot = slot(fine), slot(grid)
 
-        def both_steps(inc):
-            rows = []
-            for block in inc:
-                pairs = block.reshape(len(block), -1, 2).sum(axis=2)
-                rows.append([
-                    _gcm_slope_batch(block, slot(fine), fine.step)[0],
-                    _gcm_slope_batch(pairs, slot(grid), grid.step)[0],
-                ])
-            return np.abs(np.concatenate(rows, axis=1).T)
+        def both_steps(row):
+            pairs = row.reshape(-1, 2).sum(axis=1)
+            return (
+                abs(_slope_at(row, fine_slot, fine.step)[0]),
+                abs(_slope_at(pairs, own_slot, grid.step)[0]),
+            )
 
         drift_inc = np.diff(drift(fine.points()))
         return limits._grid_draws(fine, m, stream(seed), drift_inc, scale, both_steps)
@@ -1017,14 +1050,9 @@ class TestBiasLedger:
         cut = wide.n_steps - narrow.n_steps
         coef = limits._slow_drift_coeff(link, UNIFORM, 0.0)
 
-        def same(inc):
-            rows = []
-            for block in inc:
-                inner = block[:, cut : block.shape[1] - cut]
-                at_narrow = _gcm_slope_batch(inner, narrow.n_steps - 1, narrow.step)[0]
-                at_wide = _gcm_slope_batch(block, wide.n_steps - 1, wide.step)[0]
-                rows.append(at_narrow == at_wide)
-            return np.concatenate(rows)
+        def same(row):
+            at_narrow = _slope_at(row[cut : row.size - cut], narrow.n_steps - 1, narrow.step)[0]
+            return at_narrow == _slope_at(row, wide.n_steps - 1, wide.step)[0]
 
         drift_inc = np.diff(coef * wide.points() ** (link.beta + 1))
         return limits._grid_draws(wide, m, stream(seed), drift_inc, link.noise_scale, same)
