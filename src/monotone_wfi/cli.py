@@ -262,6 +262,8 @@ def _apply_overrides(command: str, given: dict, args) -> dict:
         cfg["threads"] = args.threads
     if args.out is not None:
         cfg["out"] = args.out
+    if cfg["seed"] < 0:  # numpy's seed sequences take no negative entropy
+        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     if cfg["threads"] < 0:
         raise ConfigError(f"threads must be 0 (one per core) or positive, got {cfg['threads']}")
     return cfg

@@ -86,7 +86,7 @@ class StudyConfig:
     threads: int = 1
     regime: str | None = None
     limit_draws: int = 50_000
-    centering_draws: int = 20_000
+    centering_draws: int = 0
     probe_xs: tuple[float, ...] = ()
     tolerances: dict = field(default_factory=dict)
 
@@ -279,12 +279,11 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
 
     manifest = {
         "study": "rate",
-        "gamma": gamma,
+        **summary,  # the gamma, target, fitted slopes and the medians they fit
         "n_list": list(cfg.n_list),
         "replicates": cfg.replicates,
         "x0": cfg.x0,
         "seed_base": cfg.seed_base,
-        "target_slope": target,
         "flags": flags,
     }
 

@@ -7,9 +7,9 @@ success probability ``phi0(delta(n) * x)``, so the feature-label curve
 flattens as ``n`` grows whenever ``gamma > 0``.
 
 The module also builds the two-point and hypercube hypothesis families
-used by the minimax lower-bound audits, together with a slope-band
-membership checker (Lipschitz constant at most ``delta``, modulus of
-continuity ratio at least ``delta / 2``).
+used by the minimax lower-bound audits, together with an exact
+slope-band certificate for piecewise-affine functions (Lipschitz constant
+at most ``delta``, modulus of continuity ratio at least ``delta / 2``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.special import erf, erfinv, logit
@@ -253,8 +252,8 @@ class FeatureLaw:
     def __post_init__(self) -> None:
         if self.kind not in _LAW_KINDS:
             raise ValueError(f"unknown feature law kind {self.kind!r}")
-        if self.half_width <= 0:
-            raise ValueError("support half-width must be positive")
+        if not 0.0 < self.half_width * self.half_width * self.half_width < math.inf:
+            raise ValueError("support half-width must be positive with a finite nonzero cube")
         if not 0.0 <= self.tilt < 1.0:
             raise ValueError("polynomial tilt must lie in [0, 1)")
 
@@ -281,15 +280,12 @@ class FeatureLaw:
     def cdf(self, x) -> np.ndarray | float:
         scalar = np.isscalar(x)
         x = np.clip(np.asarray(x, dtype=float), -self.half_width, self.half_width)
-        t = self.half_width
-        if self.kind == "uniform":
-            out = (x + t) / (2.0 * t)
-        else:
-            th = self.tilt
-            # grouped so that F(0) = 1/2 and F(+-T) = 0, 1 exactly; both cubes
-            # as products (libm pow is slower and rounds unlike x * x * x)
-            t3 = t * t * t
-            out = (1.0 - th) * ((x + t) / (2.0 * t)) + th * ((x * x * x + t3) / (2.0 * t3))
+        t, th = self.half_width, self.tilt
+        # grouped so that F(0) = 1/2 and F(+-T) = 0, 1 exactly, and so that tilt 0
+        # gives the line's bits (1.0 * v + 0.0 * w is v); both cubes as products
+        # (libm pow is slower and rounds unlike x * x * x)
+        t3 = t * t * t
+        out = (1.0 - th) * ((x + t) / (2.0 * t)) + th * ((x * x * x + t3) / (2.0 * t3))
         return float(out) if scalar else out
 
     def quantile(self, s) -> np.ndarray | float:
@@ -671,62 +667,44 @@ def build_assouad_cube(delta: float, n: int, C: float, T: float) -> HypothesisCu
 # slope-band membership
 
 
-def slope_band_report(
-    f: Callable[[np.ndarray], np.ndarray],
-    delta: float,
-    half_width: float,
-    grid_size: int = 4097,
-    dyadic_levels: int = 10,
-) -> dict:
-    """Numerical audit of slope-band membership on ``[-T, T]``.
+_DYADIC_LEVELS = 10  # the modulus is read at the spacings 2T / 2**j, j = 0..10
+_BAND_TOL = 1e-9
 
-    Checks monotonicity and range on a dense grid, the Lipschitz bound
-    ``<= delta`` from consecutive difference quotients (the grid is the
-    union of a uniform grid and any breakpoints the function exposes),
-    and the modulus-of-continuity ratio ``>= delta/2`` over the dyadic
-    spacings ``2T / 2**j``.
+
+def slope_band_report(f: PiecewiseAffine, delta: float, half_width: float) -> dict:
+    """Exact slope-band audit of a piecewise-affine ``f`` on ``[-T, T]``.
+
+    ``f`` is affine between its knots clipped to ``[-T, T]``, so
+    monotonicity and range are read off its values there and the
+    Lipschitz constant is the largest segment slope.  For each dyadic
+    spacing ``nu = 2T / 2**j`` the rise ``f(x + nu) - f(x)`` is piecewise
+    linear in ``x``, so its maximum over ``[-T, T - nu]`` lies at a knot
+    or a knot minus ``nu``, clipped to that interval; the report gives
+    the least modulus ratio ``max rise / nu``.
     """
     t = half_width
-    grid = np.linspace(-t, t, grid_size)
-    bp = getattr(f, "breakpoints", None)
-    if bp is not None:
-        inside = bp[(bp > -t) & (bp < t)]
-        grid = np.unique(np.concatenate([grid, inside]))
-        # drop near-coincident points whose quotients are pure rounding noise
-        grid = grid[np.concatenate(([True], np.diff(grid) > 1e-12))]
-    vals = np.asarray(f(grid), dtype=float)
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= -1e-12))
-    in_range = bool(np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)))
-    lipschitz = float(np.max(diffs / np.diff(grid))) if grid.size > 1 else 0.0
-
-    uniform = np.linspace(-t, t, 2**dyadic_levels + 1)
-    uvals = np.asarray(f(uniform), dtype=float)
+    xs = np.unique(np.clip(np.r_[-t, f.knots, t], -t, t))
+    vals = f(xs)
+    rises = np.diff(vals)
     ratios = []
-    for j in range(dyadic_levels + 1):
-        k = 2 ** (dyadic_levels - j)  # spacing 2T / 2**j in index units
+    for j in range(_DYADIC_LEVELS + 1):
         nu = 2.0 * t / 2**j
-        omega = float(np.max(uvals[k:] - uvals[:-k]))
-        ratios.append(omega / nu)
+        x = np.clip(np.r_[xs, xs - nu], -t, t - nu)
+        ratios.append(float(np.max(f(x + nu) - f(x))) / nu)
     return {
-        "monotone": monotone,
-        "in_range": in_range,
-        "lipschitz": lipschitz,
-        "min_modulus_ratio": float(min(ratios)),
+        "monotone": bool(np.all(rises >= -1e-12)),
+        "in_range": bool(np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12))),
+        "lipschitz": float(np.max(rises / np.diff(xs))),
+        "min_modulus_ratio": min(ratios),
     }
 
 
-def in_slope_band(
-    f: Callable[[np.ndarray], np.ndarray],
-    delta: float,
-    half_width: float,
-    tol: float = 1e-9,
-) -> bool:
+def in_slope_band(f: PiecewiseAffine, delta: float, half_width: float) -> bool:
     """True when ``f`` passes the slope-band audit for level ``delta``."""
     rep = slope_band_report(f, delta, half_width)
     return (
         rep["monotone"]
         and rep["in_range"]
-        and rep["lipschitz"] <= delta * (1.0 + tol) + tol
-        and rep["min_modulus_ratio"] >= 0.5 * delta * (1.0 - tol) - tol
+        and rep["lipschitz"] <= delta * (1.0 + _BAND_TOL) + _BAND_TOL
+        and rep["min_modulus_ratio"] >= 0.5 * delta * (1.0 - _BAND_TOL) - _BAND_TOL
     )

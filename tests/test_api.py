@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,19 @@ def test_benchmark_trace_targets_exist():
         if attr not in vars(owner)
     ]
     assert not missing, f"traced names missing: {missing}"
+
+
+def test_package_import_loads_nothing_else():
+    # names are imported from their modules; the package init is a docstring
+    # and a version, so importing it costs neither a submodule nor scipy
+    code = (
+        "import sys, monotone_wfi; "
+        "print(sorted(m for m in sys.modules if m.startswith('monotone_wfi.') "
+        "or m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(monotone_wfi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    )
+    assert done.stdout.strip() == "[]"

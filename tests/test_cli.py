@@ -1,5 +1,6 @@
 """Command-line surface: config handling, commands, files, exit codes."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -283,6 +284,23 @@ class TestStudyCommands:
         svg = _read(out / "rate_study.pointwise.svg")
         assert svg.startswith("<svg")
         assert "slope" in svg
+
+    def test_rate_manifest_holds_the_plotted_statistics(self, tmp_path):
+        # the medians and fitted slopes the figures show, at full precision
+        out = tmp_path / "rate"
+        assert main(["rate-study", "--out", str(out), "--seed", "7",
+                     *SMOKE_RUNS["rate-study"]]) == 0
+        entry = json.loads(_read(out / "rate_study.manifest.json"))["per_gamma"]["0.8"]
+        rows = np.array([[float(c) for c in row.split(",")]
+                         for row in _read(out / "rate_study.csv").splitlines()[1:]])
+        ns = np.array([64.0, 128.0, 256.0])
+        for col, part in ((3, "pointwise"), (4, "l1")):
+            medians = [np.median(rows[rows[:, 1] == n, col]) for n in ns]
+            assert entry[f"medians_{part}"] == medians
+            slope, se = experiments.fit_loglog_slope(ns, np.array(medians))
+            assert (entry[f"slope_{part}"], entry[f"slope_{part}_se"]) == (slope, se)
+        note = f"slope pw {entry['slope_pointwise']:.3f}, L1 {entry['slope_l1']:.3f}"
+        assert note in _read(out / "rate_study.pointwise.svg")
 
     def test_svg_reruns_byte_identical(self, tmp_path):
         outs = []
@@ -603,6 +621,38 @@ def test_negative_threads_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
     assert "threads must be 0 (one per core) or positive" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--set", "seed=-1"], []])
+@pytest.mark.parametrize("command", sorted(SMOKE_RUNS))
+def test_negative_seed_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, flag):
+    # numpy's seed sequences reject a negative seed, but only once a draw or a
+    # pool worker reaches them; the audit, which draws nothing, used to take it
+    if not flag:
+        monkeypatch.setenv("MONOTONE_WFI_SEED", "-4")
+    for module in (experiments, limits):
+        monkeypatch.setattr(module, "stream", _no_draws)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _no_draws)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--threads", "2", *flag,
+                 *SMOKE_RUNS[command]]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be nonnegative" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_schema_defaults_match_the_study_config():
+    # a StudyConfig built in code runs as the command's defaults would
+    fields = {f.name: f.default for f in dataclasses.fields(experiments.StudyConfig)}
+    mirrored = {"seed": "seed_base", "study.x0": "x0",
+                "study.centering_draws": "centering_draws", "study.limit_draws": "limit_draws"}
+    checked = 0
+    for command, schema in SCHEMAS.items():
+        for key in mirrored.keys() & schema.keys():
+            assert schema[key][1] == fields[mirrored[key]], (command, key)
+            checked += 1
+    assert checked >= len(mirrored)
 
 
 def test_smoke_runs_cover_every_command():

@@ -17,6 +17,7 @@ from monotone_wfi.model import (
     FeatureLaw,
     LinkCurve,
     LinkSpec,
+    PiecewiseAffine,
     Sample,
     Scenario,
     build_assouad_cube,
@@ -246,6 +247,19 @@ class TestFeatureLaws:
     def test_sup_density(self):
         assert UNIFORM.sup_density == 0.5
         assert POLY.sup_density == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("half_width", [0.3, 1.0, 2.0, 1e-100, 1e100])
+    def test_uniform_cdf_is_the_line(self, half_width):
+        # the tilt formula at tilt 0 gives the bits of (x + T) / 2T
+        x = np.linspace(-1.2 * half_width, 1.2 * half_width, 20_001)
+        line = (np.clip(x, -half_width, half_width) + half_width) / (2.0 * half_width)
+        assert FeatureLaw("uniform", half_width).cdf(x).tobytes() == line.tobytes()
+
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, np.nan, np.inf, 1e103, 1e-110])
+    def test_half_width_with_no_float_cube_rejected(self, half_width):
+        # the CDF cubes T; past these bounds it would return NaN
+        with pytest.raises(ValueError, match="half-width"):
+            FeatureLaw("uniform", half_width)
 
     def test_uniform_law_has_no_tilt(self):
         stray = FeatureLaw("uniform", 1.0, (0.5,))
@@ -637,13 +651,37 @@ class TestAssouadCube:
 
 class TestSlopeBand:
     def test_steep_function_fails(self):
-        steep = lambda x: np.clip(0.5 + 2.0 * np.asarray(x), 0, 1)
+        steep = PiecewiseAffine([-0.25, 0.25], [0.0, 1.0])  # clip(0.5 + 2x, 0, 1)
         assert not in_slope_band(steep, 0.1, 1.0)
 
     def test_too_flat_function_fails(self):
         # Lipschitz fine but modulus ratio below half the level
-        flat = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)
+        flat = PiecewiseAffine([-1.0, 1.0], [0.5, 0.5])
         assert not in_slope_band(flat, 0.1, 1.0)
+
+    def test_report_matches_a_brute_force_sup(self):
+        # the knot certificate against sups over 10**6 points per dyadic level
+        rng = np.random.default_rng(23)
+        cube = build_assouad_cube(0.2, 50_000, 0.15, 1.0)
+        fns = [(cube.function(rng.integers(0, 2, cube.m)), 0.2) for _ in range(2)]
+        for delta, n, c, law in ((0.1, 10_000, 0.09, UNIFORM), (0.1, 10_000, 0.09, POLY),
+                                 (0.001, 400, 0.4, UNIFORM)):
+            pair = build_pointwise_hypotheses(delta, n, c, law, rng.uniform(-0.5, 0.5))
+            fns += [(pair.upper, delta), (pair.lower, delta)]
+        x = np.linspace(-1.0, 1.0, 10**6)
+        for f, delta in fns:
+            rep = slope_band_report(f, delta, 1.0)
+            v = f(x)
+            assert rep["lipschitz"] == pytest.approx(np.max(np.diff(v) / np.diff(x)), rel=1e-6)
+            lows, highs = [], []
+            for j in range(11):
+                nu = 2.0 / 2**j
+                xs = np.linspace(-1.0, 1.0 - nu, 10**6)
+                lows.append(np.max(f(xs + nu) - f(xs)) / nu)
+                # the rise is 2 delta-Lipschitz in x: the exact sup is within
+                # 2 delta grid steps of the grid's
+                highs.append(lows[-1] + 2.0 * delta * (xs[1] - xs[0]) / nu)
+            assert min(lows) - 1e-12 <= rep["min_modulus_ratio"] <= min(highs) + 1e-12
 
     def test_report_fields(self):
         pair = build_pointwise_hypotheses(0.1, 10_000, 0.09, UNIFORM, 0.0)
