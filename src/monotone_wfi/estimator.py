@@ -62,16 +62,15 @@ class StepEstimate:
         object.__setattr__(self, "values", vals)
         if jx.shape != vals.shape:
             raise ValueError("jump locations and values must have equal length")
-        if jx.size > 1 and not np.all(np.diff(jx) > 0):
+        if not (jx[1:] > jx[:-1]).all():
             raise ValueError("jump locations must be strictly increasing")
-        if vals.size and (np.any(np.diff(vals) < 0) or vals[0] < 0 or vals[-1] > 1):
+        if vals.size and ((vals[1:] < vals[:-1]).any() or vals[0] < 0 or vals[-1] > 1):
             raise ValueError("values must be nondecreasing within [0, 1]")
 
     def __call__(self, x):
         scalar = np.isscalar(x)
-        idx = np.searchsorted(self.jump_xs, np.asarray(x, dtype=float), side="right") - 1
-        padded = np.concatenate(([0.0], self.values))
-        out = padded[idx + 1]
+        idx = np.searchsorted(self.jump_xs, np.asarray(x, dtype=float), side="right")
+        out = np.concatenate(([0.0], self.values))[idx]
         return float(out) if scalar else out
 
     @property
@@ -135,23 +134,33 @@ def _minorant_indices(cw: np.ndarray, co: np.ndarray) -> np.ndarray:
     )
 
 
-def npmle_values(s: Sample) -> np.ndarray:
-    """Maximum-likelihood fitted values at the sample points.
+def _faces(s: Sample) -> tuple[np.ndarray, np.ndarray]:
+    """Minorant vertex indices and the float slope of each face between them.
 
-    The minorant runs in integer cumulative coordinates (counts rather
-    than fractions), so its vertices are exact and every segment slope is
-    a correctly rounded ratio of counts: the fitted values are
-    nondecreasing and within [0, 1] with no epsilon games.
+    The vertices are exact integer counts and every slope a correctly rounded
+    count ratio: nondecreasing and within [0, 1] with no epsilon games.
     """
     cw, co = _cusums(s)
     keep = _minorant_indices(cw, co)
-    slopes = np.diff(co[keep]) / np.diff(cw[keep])
+    vw, vo = cw[keep], co[keep]
+    return keep, (vo[1:] - vo[:-1]) / (vw[1:] - vw[:-1])
+
+
+def npmle_values(s: Sample) -> np.ndarray:
+    """Maximum-likelihood fitted values at the sample points."""
+    keep, slopes = _faces(s)
     return np.repeat(slopes, np.diff(keep))
 
 
 def npmle_fit(s: Sample) -> StepEstimate:
-    """Maximum-likelihood step estimate over all monotone curves into [0, 1]."""
-    return StepEstimate.from_fitted(s.xs, npmle_values(s), s.n)
+    """Maximum-likelihood step estimate over all monotone curves into [0, 1].
+
+    By :meth:`StepEstimate.from_fitted`'s rule, a face starts a jump unless
+    its float slope equals the previous face's (0 before the first face).
+    """
+    keep, slopes = _faces(s)
+    new = slopes != np.concatenate(([0.0], slopes[:-1]))
+    return StepEstimate(s.xs[keep[:-1][new]], slopes[new], s.n)
 
 
 def _pava(means: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -130,18 +130,19 @@ def l1_error(
     a = edges[:-1]
     b = edges[1:]
     levels = np.asarray(step(a), dtype=float)
-    ta = np.asarray(target(a), dtype=float)
-    # the left limit at b: a target jump at b belongs to the next piece
-    tb = np.asarray(target(np.nextafter(b, a)), dtype=float)
+    # one target pass; the left limit at b: a target jump at b belongs to the next piece
+    ta, tb = np.asarray(target(np.concatenate((a, np.nextafter(b, a))).reshape(2, -1)), float)
     c = np.where(ta >= levels, a, b)
     is_open = (ta < levels) & (tb > levels)
     if is_open.any():
         c[is_open] = np.clip(target.inverse(levels[is_open]), a[is_open], b[is_open])
 
     def gap(x):
-        return np.abs(levels[:, None] - np.asarray(target(x)))
+        return np.abs(np.concatenate((levels, levels))[:, None] - np.asarray(target(x)))
 
-    return float(np.sum(_gl_integrate(gap, a, c) + _gl_integrate(gap, c, b)))
+    # both sign-constant halves [a, c] and [c, b] of every piece in one batch
+    halves = _gl_integrate(gap, np.concatenate((a, c)), np.concatenate((c, b)))
+    return float(np.sum(halves[: a.size] + halves[a.size :]))
 
 
 def sup_norm_on(step, target, interval: tuple[float, float]) -> float:

@@ -291,7 +291,7 @@ class FeatureLaw:
     def quantile(self, s) -> np.ndarray | float:
         scalar = np.isscalar(s)
         s = np.asarray(s, dtype=float)
-        if not np.all((s >= 0.0) & (s <= 1.0)):  # NaN too
+        if not ((s >= 0.0) & (s <= 1.0)).all():  # NaN too
             raise ValueError("quantile argument must lie in [0, 1]")
         t, th = self.half_width, self.tilt
         if th == 0.0:  # no cubic term
@@ -369,11 +369,11 @@ class Sample:
             raise ValueError("sample fields must have equal length")
         if not np.isfinite(xs).all():
             raise ValueError("sample xs must be finite")
-        if xs.size > 1 and not np.all(np.diff(xs) > 0):
+        if not (xs[1:] > xs[:-1]).all():
             raise ValueError("sample xs must be strictly increasing")
-        if np.any(weights < 1):
+        if (weights < 1).any():
             raise ValueError("weights must be positive integers")
-        if np.any(ones < 0) or np.any(ones > weights):
+        if (ones < 0).any() or (ones > weights).any():
             raise ValueError("label counts must lie in [0, weight] per block")
 
     @property
@@ -414,7 +414,11 @@ class Sample:
         if not ((ys == 0) | (ys == 1)).all():
             raise ValueError("labels must be 0 or 1")
         order = np.argsort(xs)
-        xs, ys = xs[order], ys[order].astype(np.int64)
+        return cls._from_sorted(xs[order], ys[order].astype(np.int64))
+
+    @classmethod
+    def _from_sorted(cls, xs: np.ndarray, ys: np.ndarray) -> "Sample":
+        """Aggregate draws already sorted by feature (float ``xs``, int64 ``ys``)."""
         new = xs[1:] != xs[:-1]
         if new.all():  # no ties: every draw is its own block
             return cls(xs + 0.0, ys, np.ones(xs.size, np.int64))  # a zero is written +0.0
@@ -460,15 +464,22 @@ def draw_sample(scn: Scenario, n: int, rng: np.random.Generator) -> Sample:
 
     Consumption order is fixed: ``n`` uniforms for the quantile transform
     of the features, then ``n`` uniforms for the labels.
+
+    On the line quantile (tilt 0) one sort of ``uint64`` keys, each
+    uniform's bits above its label, replaces ``argsort``: the bits keep a
+    nonnegative double's order and ``fl(fl(2T s) - T)`` is nondecreasing in
+    ``s``.  The cubic quantile is not provably monotone and keeps ``argsort``.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     u_x = rng.random(n)
     xs = np.asarray(scn.law.quantile(u_x), dtype=float)
-    u_y = rng.random(n)
-    probs = link_eval(scn.link, scn.delta(n) * xs)
-    ys = (u_y < probs).astype(np.int64)
-    return Sample.from_draws(xs, ys)
+    labels = rng.random(n) < link_eval(scn.link, scn.delta(n) * xs)
+    if scn.law.tilt != 0.0:
+        return Sample.from_draws(xs, labels.astype(np.int64))
+    keys = np.sort((u_x.view(np.uint64) << 1) | labels)  # the shift maps -0.0 to +0.0
+    xs = scn.law.quantile((keys >> 1).view(float))
+    return Sample._from_sorted(xs, (keys & 1).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +682,7 @@ _DYADIC_LEVELS = 10  # the modulus is read at the spacings 2T / 2**j, j = 0..10
 _BAND_TOL = 1e-9
 
 
-def slope_band_report(f: PiecewiseAffine, delta: float, half_width: float) -> dict:
+def slope_band_report(f: PiecewiseAffine, half_width: float) -> dict:
     """Exact slope-band audit of a piecewise-affine ``f`` on ``[-T, T]``.
 
     ``f`` is affine between its knots clipped to ``[-T, T]``, so
@@ -701,7 +712,7 @@ def slope_band_report(f: PiecewiseAffine, delta: float, half_width: float) -> di
 
 def in_slope_band(f: PiecewiseAffine, delta: float, half_width: float) -> bool:
     """True when ``f`` passes the slope-band audit for level ``delta``."""
-    rep = slope_band_report(f, delta, half_width)
+    rep = slope_band_report(f, half_width)
     return (
         rep["monotone"]
         and rep["in_range"]

@@ -178,6 +178,9 @@ class TestMinorantKernelProperties:
         assert np.array_equal(keep, lower_hull_indices(cw, co))
         _assert_is_minorant(cw, co, keep)
         assert np.max(np.abs(npmle_values(s) - pava_fit(s)(s.xs))) <= 1e-12
+        fit, ref = npmle_fit(s), StepEstimate.from_fitted(s.xs, npmle_values(s), s.n)
+        assert fit.jump_xs.tobytes() == ref.jump_xs.tobytes()
+        assert fit.values.tobytes() == ref.values.tobytes() and fit.n == ref.n
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(

@@ -7,6 +7,8 @@ from monotone_wfi.estimator import StepEstimate, npmle_fit
 from monotone_wfi.metrics import (
     QuadratureCfg,
     QuadratureError,
+    _gl_integrate,
+    _split_points,
     hellinger,
     ks_two_sample,
     l1_error,
@@ -35,6 +37,28 @@ def _random_step(rng, k=8):
     jumps = np.sort(rng.uniform(-1, 1, k))
     vals = np.sort(rng.random(k))
     return StepEstimate(jumps, vals)
+
+
+def _two_pass_l1(step, target, lo, hi):
+    """Lebesgue L1 error with a target pass and a quadrature batch per half-piece.
+
+    Returns the error and the number of pieces the target crosses.
+    """
+    edges = _split_points(lo, hi, step, target)
+    a, b = edges[:-1], edges[1:]
+    levels = np.asarray(step(a), dtype=float)
+    ta = np.asarray(target(a), dtype=float)
+    tb = np.asarray(target(np.nextafter(b, a)), dtype=float)
+    c = np.where(ta >= levels, a, b)
+    is_open = (ta < levels) & (tb > levels)
+    if is_open.any():
+        c[is_open] = np.clip(target.inverse(levels[is_open]), a[is_open], b[is_open])
+
+    def gap(x):
+        return np.abs(levels[:, None] - np.asarray(target(x)))
+
+    total = float(np.sum(_gl_integrate(gap, a, c) + _gl_integrate(gap, c, b)))
+    return total, int(is_open.sum())
 
 
 class TestQuadrature:
@@ -165,6 +189,26 @@ class TestL1Error:
                     ref += 0.5 * (b - a) * (abs(ga) + abs(gb))
             got = l1_error(fit, phi, "lebesgue", interval=(-1, 1))
             assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("link", [
+        LinkSpec("logistic"),
+        LinkSpec("probit", params=(2.0,)),
+        LinkSpec("affine", 1, (0.5, 2.0)),  # kinks at x = -1/4 and 1/4
+        LinkSpec("beta_flat", beta=3),
+        LinkSpec("constant", params=(0.3,)),
+    ])
+    def test_bitwise_equal_to_two_pass_formula(self, link):
+        scn = Scenario(link, UNIFORM, 1.0, 0.0, beta=link.beta)
+        phi = scn.phi_fn(500)
+        crossings = 0
+        for r in range(4):
+            fit = npmle_fit(draw_sample(scn, 500, stream(23, r)))
+            for lo, hi in ((-1.0, 1.0), (-0.6, 0.2), (fit.jump_xs[0], 0.9)):
+                ref, opened = _two_pass_l1(fit, phi, lo, hi)
+                got = l1_error(fit, phi, "lebesgue", interval=(lo, hi))
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+                crossings += opened
+        assert (crossings > 0) == (link.kind != "constant")
 
     def test_empirical_measure(self):
         s = Sample.from_draws([0.0, 1.0, 2.0, 2.0], [0, 1, 1, 0])

@@ -460,6 +460,37 @@ class TestFromDrawsProperty:
                 Sample.from_draws([1.0, 2.0], bad)
 
 
+class _Replay:
+    """Stand-in generator whose ``random(n)`` hands out crafted arrays in turn."""
+
+    def __init__(self, *arrays):
+        self._arrays = list(arrays)
+
+    def random(self, n):
+        out = np.array(self._arrays.pop(0), dtype=float)
+        assert out.shape == (n,)
+        return out
+
+
+_ULP = 2.0**-53  # the spacing of the generator's uniforms
+# (feature uniforms, label uniforms): a label uniform of 0 draws a one, of
+# 1 - ulp a zero, whatever the success probability
+_CRAFTED_DRAWS = [
+    # equal feature uniforms with opposite labels, one of them the line's zero
+    ([0.25, 0.5, 0.25, 0.5, 0.75, 0.25], [0.0, 1 - _ULP, 1 - _ULP, 0.0, 0.5, 0.0]),
+    # distinct uniforms that give one feature at T = 3: 0, -0.0 and 2^-55 give
+    # -3, as do 1 - 2 ulp and 1 - 3 ulp, and 1 - 5 ulp and 1 - 6 ulp; 2^-53 and
+    # 2^-52 do not tie at T = 3 but are the generator's smallest uniforms
+    ([1 - 3 * _ULP, 0.0, 2.0**-52, 1 - 2 * _ULP, -0.0, _ULP, 2.0**-55, 1 - 6 * _ULP,
+      0.5, 1 - 5 * _ULP, 1.0],
+     [0.0, 1 - _ULP, 0.0, 1 - _ULP, 0.0, 0.0, 1 - _ULP, 0.0, 1 - _ULP, 1 - _ULP, 0.0]),
+    ([0.5], [0.0]),  # n = 1 at the feature 0
+    ([0.5], [1 - _ULP]),
+    ([0.7, 0.2], [1 - _ULP, 0.0]),  # n = 2, drawn in decreasing order
+    ([0.3, 0.3], [0.0, 1 - _ULP]),
+]
+
+
 class TestSampling:
     def test_shape_and_determinism(self):
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.5)
@@ -473,16 +504,25 @@ class TestSampling:
         c = sample_dataset(scn, 250, 12346)
         assert not np.array_equal(a.xs, c.xs)
 
-    @pytest.mark.parametrize("link, law", [
-        (LOGISTIC, UNIFORM),
-        (LinkSpec("beta_flat", beta=3), POLY),
-        (LinkSpec("probit", params=(1.0,)), UNIFORM),
+    @pytest.mark.parametrize("link, law, draws", [
+        pytest.param(LOGISTIC, UNIFORM, None, id="link0-law0"),
+        pytest.param(LinkSpec("beta_flat", beta=3), POLY, None, id="link1-law1"),
+        pytest.param(LinkSpec("probit", params=(1.0,)), UNIFORM, None, id="link2-law2"),
+        *[pytest.param(link, law, draws, id=f"crafted{k}-{tag}")
+          for tag, link, law in (("T1", LOGISTIC, UNIFORM),
+                                 ("T3", LOGISTIC, FeatureLaw("uniform", 3.0)),
+                                 ("poly", LinkSpec("probit", params=(1.0,)), POLY))
+          for k, draws in enumerate(_CRAFTED_DRAWS)],
     ])
-    def test_matches_the_documented_stream(self, link, law):
-        """n uniforms for x, then n for y; quantile, oracle link, np.unique aggregation."""
-        n, seed = 8192, (20260808, 3)
+    def test_matches_the_documented_stream(self, link, law, draws):
+        """n uniforms for x, then n for y; quantile, oracle link, np.unique aggregation.
+
+        ``draws`` replaces the seeded stream by crafted uniforms (feature, label).
+        """
+        n = 8192 if draws is None else len(draws[0])
+        make_rng = (lambda: stream(20260808, 3)) if draws is None else lambda: _Replay(*draws)
         scn = Scenario(link, law, 1.5, 0.25, beta=link.beta)
-        rng = stream(*seed)
+        rng = make_rng()
         xs = law.quantile(rng.random(n))
         u_y = rng.random(n)
         u = scn.delta(n) * xs
@@ -491,7 +531,7 @@ class TestSampling:
         else:
             probs = logistic_split(u if link.beta == 1 else u**link.beta)
         uniq, ones, counts = _unique_reference(xs, (u_y < probs).astype(np.int64))
-        s = draw_sample(scn, n, stream(*seed))
+        s = draw_sample(scn, n, make_rng())
         assert s.xs.tobytes() == (uniq + 0.0).tobytes()
         assert s.ones.tobytes() == ones.tobytes() and s.weights.tobytes() == counts.tobytes()
 
@@ -570,7 +610,7 @@ class TestPointwiseHypotheses:
                 assert in_slope_band(pair.upper, delta, 1.0)
                 assert in_slope_band(pair.lower, delta, 1.0)
             else:
-                rep = slope_band_report(pair.upper, delta, 1.0)
+                rep = slope_band_report(pair.upper, 1.0)
                 assert rep["monotone"] and rep["in_range"]
 
     def test_constraint_errors_are_named(self):
@@ -670,7 +710,7 @@ class TestSlopeBand:
             fns += [(pair.upper, delta), (pair.lower, delta)]
         x = np.linspace(-1.0, 1.0, 10**6)
         for f, delta in fns:
-            rep = slope_band_report(f, delta, 1.0)
+            rep = slope_band_report(f, 1.0)
             v = f(x)
             assert rep["lipschitz"] == pytest.approx(np.max(np.diff(v) / np.diff(x)), rel=1e-6)
             lows, highs = [], []
@@ -685,7 +725,7 @@ class TestSlopeBand:
 
     def test_report_fields(self):
         pair = build_pointwise_hypotheses(0.1, 10_000, 0.09, UNIFORM, 0.0)
-        rep = slope_band_report(pair.upper, 0.1, 1.0)
+        rep = slope_band_report(pair.upper, 1.0)
         assert rep["monotone"] and rep["in_range"]
         assert rep["lipschitz"] == pytest.approx(0.1, rel=1e-9)
         assert rep["min_modulus_ratio"] >= 0.05 - 1e-9
