@@ -5,16 +5,16 @@ whole batch.  Three laws are drawn exactly: the Chernoff law by inversion
 of its Airy-function CDF (:func:`chernoff_table`), the fast-regime L1 law
 as a chi_3 norm, and the fast-regime pointwise law from the stick-breaking
 faces of the minorant of W (:func:`fast_slope_batch`).  The others
-discretize Gaussian paths on a fixed grid; the argmin samplers build them
-in chunks of ``_CHUNK`` paths (:func:`_chunked`) to bound their memory.
-Slope-type laws on a grid are the left slopes of the greatest convex
-minorant of a Gaussian path: one kernel (:func:`_grid_draws`) hands each
-path's drawn increments, with no path built, to a reader that fits them,
-checked in the tests against the monotone stack.  The covariance integral
-reads every shifted argmin off the same minorant.  The kernel draws the
-increments one block of paths ahead on one helper thread while the
-calling thread fits the block before (:func:`_increment_blocks`); the
-draws depend on neither the block size nor the core count.
+discretize Gaussian paths on a fixed grid and read the law off the
+greatest convex minorant of the path: one kernel (:func:`_grid_draws`)
+hands each path's drawn increments, with no path built, to a reader that
+fits them, checked in the tests against the monotone stack.  The slope
+laws read a left slope; the argmin samplers and the covariance integral
+read the largest minimizer, where the slope crosses 0 or a shift's tilt
+(:func:`_largest_minimizers`).  The kernel draws the increments one block
+of paths ahead on one helper thread while the calling thread fits the
+block before (:func:`_increment_blocks`); the draws depend on neither the
+block size nor the core count.
 
 Grid policy (:func:`_redraw_escapes`): the argmin and slow-regime
 samplers live on a two-sided window [-S, S] with a confining drift; an
@@ -75,7 +75,7 @@ __all__ = [
     "sample_limit_batch",
 ]
 
-_CHUNK = 512  # fixed path-batch chunk so draws never depend on memory layout
+_CHUNK = 512  # draws per chunk of the stick-breaking sampler, whose draws depend on it
 _BLOCK = 32  # paths per block drawn ahead of the minorant fits; no draw depends on it
 
 
@@ -207,28 +207,6 @@ def _increment_blocks(grid: PathGrid, m: int, rng, drift_inc, scale: float = 1.0
         yield ahead.result()
 
 
-def _argmin_last(values: np.ndarray) -> np.ndarray:
-    """Row argmin with ties broken to the largest index.
-
-    Matches each row against its minimum, so no reversed copy of the rows is made.
-    """
-    at_min = values == values.min(axis=1, keepdims=True)
-    return values.shape[1] - 1 - np.argmax(at_min[:, ::-1], axis=1)
-
-
-def _chunked(m: int, draw):
-    """``draw(k)`` over consecutive chunks of at most ``_CHUNK`` paths, joined in order.
-
-    ``draw`` returns an array, or a tuple of arrays, with one row per path.
-    """
-    if m < 1:
-        raise ValueError(f"a batch needs at least one path, got {m}")
-    parts = [draw(min(_CHUNK, m - start)) for start in range(0, m, _CHUNK)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _redraw_escapes(grid: PathGrid, m: int, draw, what: str) -> np.ndarray:
     """``m`` draws of ``draw(g, k) -> (values, escaped)`` on window ``g``.
 
@@ -257,7 +235,7 @@ def argmin_quadratic_batch(
     b: float = 1.0,
     c: float = 0.0,
 ) -> np.ndarray:
-    """Draws of ``argmin_s {a Z(s) + b s^2 - c s}`` on the grid."""
+    """Draws of the largest ``argmin_s {a Z(s) + b s^2 - c s}`` on the grid."""
     if not grid.two_sided:
         raise ValueError("argmin samplers need a two-sided grid")
     if b <= 0:
@@ -266,17 +244,12 @@ def argmin_quadratic_batch(
 
     def draw(g: PathGrid, k: int):
         s = g.points()
-        p = brownian_paths(g, k, rng)
-        p *= a
-        p += b * s * s - c * s
-        x = s[_argmin_last(p)]
+        read = partial(_largest_minimizers, s=s, step=g.step, tilts=0.0)
+        x = _grid_draws(g, k, rng, np.diff(b * s * s - c * s), a, read)
         return x, np.abs(x) > 0.9 * g.half_width
 
     return _redraw_escapes(
-        grid,
-        m,
-        lambda g, k: _chunked(k, partial(draw, g)),
-        f"argmin stayed within the outer 10% (a={a}, b={b}, c={c})",
+        grid, m, draw, f"argmin stayed within the outer 10% (a={a}, b={b}, c={c})"
     )
 
 
@@ -411,13 +384,23 @@ def _slope_at(row: np.ndarray, slot: int, step: float) -> tuple[float, bool]:
     return res.x[slot] / step, blocks[b] == 0 or blocks[b + 1] == blocks[-1]
 
 
+def _largest_minimizers(row: np.ndarray, s: np.ndarray, step: float, tilts) -> np.ndarray:
+    """Largest minimizer over ``s`` of one path minus ``tilts * s``, from its increments ``row``.
+
+    It ends the last increment whose minorant slope (the isotonic fit over
+    the step) is at most the tilt; a scalar tilt gives a scalar.
+    """
+    return s[np.searchsorted(isotonic_regression(row).x / step, tilts, side="right")]
+
+
 def _grid_draws(grid: PathGrid, m: int, rng, drift_inc, scale: float, read) -> np.ndarray:
     """The one grid-slope kernel: ``read(row)`` for each of ``m`` paths of ``scale * W + drift``.
 
     ``row`` holds one path's increments, drift increments ``drift_inc``
     added, from the blocks of :func:`_increment_blocks`; no path is built.
-    A reader fits its row (:func:`_slope_at`, or the isotonic fit itself)
-    and returns a value or a tuple of values: one row of the result.
+    A reader fits its row (:func:`_slope_at`, :func:`_largest_minimizers`,
+    or the isotonic fit itself) and returns a value or a tuple of values:
+    one row of the result.
     """
     if m < 1:
         raise ValueError(f"a batch needs at least one path, got {m}")
@@ -613,7 +596,9 @@ def fast_slope_batch(
             lengths = np.concatenate((lengths[more], new_lengths), axis=1)
             slopes = np.concatenate((slopes[more], new_slopes), axis=1)
 
-    return _chunked(m, draw)
+    if m < 1:
+        raise ValueError(f"a batch needs at least one path, got {m}")
+    return np.concatenate([draw(min(_CHUNK, m - start)) for start in range(0, m, _CHUNK)])
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +712,7 @@ def chernoff_cov_integral(
     a_values = a_step * np.arange(n_a)
 
     def path_shifts(row: np.ndarray) -> np.ndarray:
-        # the largest minimizer of f(s) - 2 a s ends the last increment
-        # whose minorant slope is at most 2 a
-        slopes = isotonic_regression(row).x / big.step
-        x_a = s[np.searchsorted(slopes, 2.0 * a_values, side="right")]
+        x_a = _largest_minimizers(row, s, big.step, 2.0 * a_values)
         if np.any(np.abs(x_a) > 0.9 * big.half_width):
             raise GridEscapeError(
                 "shifted argmin reached the enlarged window boundary; "

@@ -1,4 +1,4 @@
-"""Test-side oracle for the greatest convex minorant: the monotone-stack hull."""
+"""Test-side oracles for the greatest convex minorant: the monotone-stack hull and the argmin."""
 
 import numpy as np
 
@@ -26,3 +26,9 @@ def lower_hull_indices(ts, vs) -> np.ndarray:
                 break
         idx.append(i)
     return np.asarray(idx, dtype=np.int64)
+
+
+def argmin_last(values) -> np.ndarray:
+    """Row argmin of a 2-D array, ties broken to the largest index."""
+    values = np.asarray(values)
+    return values.shape[1] - 1 - np.argmin(values[:, ::-1], axis=1)

@@ -52,3 +52,12 @@ def test_package_import_loads_nothing_else():
         env={**os.environ, "PYTHONPATH": src}, cwd=src,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_source_within_its_line_budget():
+    # the budget on non-blank lines under src/
+    src = Path(__file__).resolve().parents[1] / "src"
+    lines = sum(
+        1 for path in src.rglob("*.py") for line in path.read_text().splitlines() if line.strip()
+    )
+    assert lines <= 3000, f"{lines} non-blank src/ lines, over the 3000-line budget"

@@ -6,6 +6,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.optimize import isotonic_regression
 from scipy.special import beta as beta_fn
 from scipy.stats import chi, kstest, norm
 
-from hull_oracle import lower_hull_indices
+from hull_oracle import argmin_last, lower_hull_indices
 from monotone_wfi.limits import (
     DEFAULT_EDGE_GRID,
     DEFAULT_TWO_SIDED_GRID,
@@ -44,7 +45,7 @@ from monotone_wfi.limits import (
     slow_limit_batch,
 )
 from monotone_wfi import limits
-from monotone_wfi.limits import _argmin_last, _break_sticks, _chunked, _slope_at
+from monotone_wfi.limits import _break_sticks, _slope_at
 from monotone_wfi.estimator import npmle_fit
 from monotone_wfi.metrics import QuadratureCfg, ks_two_sample, l1_error
 from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
@@ -212,49 +213,47 @@ class TestExactChernoffLaw:
 
 
 class TestBatchDrivers:
-    """Chunk layout and window-escape order of the path samplers."""
+    """Chunk layout of the stick-breaking sampler; window-escape order of the argmin samplers."""
 
-    def test_chunk_sizes(self):
-        for m, sizes in ((1, [1]), (512, [512]), (513, [512, 1]), (600, [512, 88])):
-            seen = []
-
-            def draw(k):
-                seen.append(k)
-                return np.full(k, float(len(seen))), np.arange(k)
-
-            values, index = _chunked(m, draw)
-            assert seen == sizes
-            assert np.array_equal(values, np.repeat(np.arange(1.0, len(sizes) + 1), sizes))
-            assert np.array_equal(index, np.concatenate([np.arange(k) for k in sizes]))
+    def test_chunk_sizes(self, monkeypatch):
+        # 600 fast-slope draws are 512 and then 88 from one stream, not one chunk of 600
+        rng = stream(32)
+        whole = fast_slope_batch(LOGISTIC, UNIFORM, 0.3, 600, stream(32))
+        parts = [fast_slope_batch(LOGISTIC, UNIFORM, 0.3, k, rng) for k in (512, 88)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+        monkeypatch.setattr(limits, "_CHUNK", 600)
+        one_chunk = fast_slope_batch(LOGISTIC, UNIFORM, 0.3, 600, stream(32))
+        assert whole.tobytes() != one_chunk.tobytes()
         with pytest.raises(ValueError, match="at least one path"):
-            _chunked(0, lambda k: np.zeros(k))
+            fast_slope_batch(LOGISTIC, UNIFORM, 0.3, 0, 1)
         with pytest.raises(ValueError, match="at least one path"):  # the grid-slope kernel
             boundary_limit_batch(1.0, LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, 0, 1)
 
     @staticmethod
-    def _hand_pass(grid, sizes, rng):
-        # argmin of Z(s) + s^2 per path, ties to the largest index
+    def _hand_pass(grid, k, rng, a, b, c):
+        # argmin of a Z(s) + b s^2 - c s over k whole paths, ties to the largest index
         s = grid.points()
-        last = [s.size - 1 - np.argmin((brownian_paths(grid, k, rng) + s * s)[:, ::-1], axis=1)
-                for k in sizes]
-        return s[np.concatenate(last)]
+        return s[argmin_last(a * brownian_paths(grid, k, rng) + (b * s * s - c * s))]
 
     @pytest.mark.parametrize("m", [1, 512, 513, 600])
     def test_argmin_chunks_then_retries_in_order(self, m):
-        # first pass in chunks of 512, then the escaped draws, in order, on
-        # the doubled window, all from one stream
+        # a first pass over all m paths, then the escaped draws, in order,
+        # on the doubled window, all from one stream: bit for bit the
+        # argmins of whole paths, at the default drift and at a drift that
+        # centres the argmin at the window's edge
         g = PathGrid(1.0, 0.01, True)
-        draws = argmin_quadratic_batch(g, m, stream(31))
-        rng = stream(31)
-        first = self._hand_pass(g, [min(512, m - i) for i in range(0, m, 512)], rng)
-        esc = np.abs(first) > 0.9
-        assert np.array_equal(draws[~esc], first[~esc])
-        if m == 600:
-            assert 0 < esc.sum() < 88
-        if esc.any():
-            second = self._hand_pass(g.doubled(), [esc.sum()], rng)
-            assert np.all(np.abs(second) <= 1.8)
-            assert np.array_equal(draws[esc], second)
+        for a, b, c in ((1.0, 1.0, 0.0), (2.0, 0.5, 1.0)):
+            draws = argmin_quadratic_batch(g, m, stream(31), a, b, c)
+            rng = stream(31)
+            expect, pending, window, levels = np.empty(m), np.arange(m), g, 0
+            while pending.size:
+                x = self._hand_pass(window, pending.size, rng, a, b, c)
+                expect[pending] = x
+                pending = pending[np.abs(x) > 0.9 * window.half_width]
+                window, levels = window.doubled(), levels + 1
+            assert draws.tobytes() == expect.tobytes()
+            if m == 600:
+                assert levels >= 2
 
 
 class TestArgminScalingLaw:
@@ -425,12 +424,15 @@ class TestIncrementPipeline:
     The draws and the randomness they consume must equal those of one
     serial draw per batch (:func:`_serial_blocks`) at every block size: one
     path per block, a size that does not divide every batch, the default,
-    and one block longer than an argmin chunk.
+    and one block of ``_CHUNK + 1`` paths.
     """
 
     BLOCKS = (1, 3, limits._BLOCK, limits._CHUNK + 1)
     ESCAPING = PathGrid(1.0, 0.01, True)  # some blocks at the origin touch its edge
     SAMPLERS = {
+        "argmin": lambda rng: argmin_quadratic_batch(
+            TestIncrementPipeline.ESCAPING, 600, rng, 2.0, 0.5, 1.0
+        ),
         "slow": lambda rng: slow_limit_batch(
             LOGISTIC, UNIFORM, 0.0, TestIncrementPipeline.ESCAPING, 600, rng
         ),
@@ -513,11 +515,15 @@ class TestIncrementPipeline:
         assert len(started) == 1
         chernoff_cov_integral(PathGrid(4.0, 0.04, True), 3.0, 0.25, 1100, 410, 2)
         assert len(started) == 2
-        started.clear()
-        grids.clear()
-        slow_limit_batch(LOGISTIC, UNIFORM, 0.0, self.ESCAPING, 1100, 411)
-        assert grids[:2] == [self.ESCAPING, self.ESCAPING.doubled()]
-        assert len(started) == len(grids) == len(set(grids))
+        for escaping in (
+            partial(slow_limit_batch, LOGISTIC, UNIFORM, 0.0, self.ESCAPING, 1100, 411),
+            partial(argmin_quadratic_batch, self.ESCAPING, 1100, 412, 2.0, 0.5, 1.0),
+        ):
+            started.clear()
+            grids.clear()
+            escaping()
+            assert grids[:2] == [self.ESCAPING, self.ESCAPING.doubled()]
+            assert len(started) == len(grids) == len(set(grids))
 
     def test_helper_joined_after_its_draw_fails(self, monkeypatch):
         class DrawFailed(RuntimeError):
@@ -837,9 +843,9 @@ class TestMonteCarloConstants:
         res = chernoff_cov_integral(PathGrid(2.0, 0.01, True), 3.0, 0.25, 600, rng, bootstrap=2)
         big = PathGrid(5.0, 0.01, True)
         s = big.points()
-        z = np.concatenate([brownian_paths(big, k, twin) for k in (512, 88)])
+        z = brownian_paths(big, 600, twin)
         direct = np.column_stack(
-            [np.abs(s[_argmin_last(z + (s - a) ** 2)] - a) for a in res.a_values]
+            [np.abs(s[argmin_last(z + (s - a) ** 2)] - a) for a in res.a_values]
         )
         assert np.array_equal(shifts[0], direct)
 
