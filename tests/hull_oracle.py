@@ -28,7 +28,6 @@ def lower_hull_indices(ts, vs) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def argmin_last(values) -> np.ndarray:
+def argmin_last(values: np.ndarray) -> np.ndarray:
     """Row argmin of a 2-D array, ties broken to the largest index."""
-    values = np.asarray(values)
     return values.shape[1] - 1 - np.argmin(values[:, ::-1], axis=1)

@@ -419,7 +419,7 @@ def _cov_values(cov) -> np.ndarray:
 
 
 class TestIncrementPipeline:
-    """The slope samplers draw each block of increments on one helper thread.
+    """The grid samplers draw each block of increments on one helper thread.
 
     The draws and the randomness they consume must equal those of one
     serial draw per batch (:func:`_serial_blocks`) at every block size: one
