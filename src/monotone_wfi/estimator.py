@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 
+_MAX_N = 3_037_000_499  # isqrt(2**63 - 1): every cross product of the hull fits int64
+
+
 class HullCertificateError(RuntimeError):
     """Float isotonic blocks that are not the exact minorant of an integer diagram."""
 
@@ -110,8 +113,12 @@ def _minorant_indices(cw: np.ndarray, co: np.ndarray) -> np.ndarray:
     Together these make the polygon through the block ends the minorant,
     with every vertex a strict kink; blocks that fail the certificate
     raise :class:`HullCertificateError`.  For the cusums of n draws every
-    product stays below ``n**2``, so int64 is exact for ``n`` below 3e9.
+    product stays within ``n**2``, so int64 is exact up to
+    ``n = isqrt(2**63 - 1)`` (:data:`_MAX_N`); larger diagrams raise
+    ValueError rather than overflow silently.
     """
+    if cw[-1] > _MAX_N:
+        raise ValueError(f"the exact hull takes at most n={_MAX_N} draws, got n={int(cw[-1])}")
     # slices rather than np.diff: its overhead dominates on small samples
     dw, do = cw[1:] - cw[:-1], co[1:] - co[:-1]
     blocks = isotonic_regression(do / dw, weights=dw).blocks

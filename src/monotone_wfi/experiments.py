@@ -198,8 +198,7 @@ def fit_loglog_slope(ns, errors) -> tuple[float, float]:
     sxx = float(xc @ xc)
     slope = float(xc @ y / sxx)
     resid = y - y.mean() - slope * xc
-    dof = ns.size - 2
-    se = float(np.sqrt(resid @ resid / dof / sxx)) if dof > 0 else 0.0
+    se = float(np.sqrt(resid @ resid / (ns.size - 2) / sxx))
     return slope, se
 
 
@@ -349,8 +348,6 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
             f"regime {cfg.regime!r} is inconsistent with gamma={scn.impact_exponent} "
             f"and flatness order {scn.beta}"
         )
-    if cfg.limit_draws < 1:
-        raise ValueError(f"limit comparison needs at least 1 limit draw, got {cfg.limit_draws}")
     gamma = scn.impact_exponent
     if tag == "scaled_chernoff" and scn.beta != 1:
         tag = "slow_fbeta"

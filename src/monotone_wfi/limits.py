@@ -66,7 +66,6 @@ __all__ = [
     "fast_slope_batch",
     "chernoff_abs_mean",
     "chernoff_abs_mean_mc",
-    "check_cov_integral_args",
     "chernoff_cov_integral",
     "edge_layer_constant",
     "mu_n",
@@ -135,6 +134,8 @@ def law_grid(law_tag: str, beta: int = 1) -> PathGrid | None:
     The slow law's ``s^(beta+1)`` drift confines its minorant at 0 to [-2, 2]
     from ``beta = 3`` on, where the window halves; the tests check both.
     """
+    if law_tag not in LAW_GRIDS:
+        raise ValueError(f"unknown law tag {law_tag!r}; choose from {LAW_TAGS}")
     grid = LAW_GRIDS[law_tag]
     return replace(grid, half_width=2.0) if law_tag == "slow_fbeta" and beta > 1 else grid
 
@@ -674,18 +675,6 @@ class CovIntegral:
         return float(self.cov_se[-1])
 
 
-def check_cov_integral_args(grid: PathGrid, a_max: float, a_step: float, m: int) -> None:
-    """Raise before any draw if :func:`chernoff_cov_integral` cannot run on these."""
-    if a_max < 3.0:
-        raise ValueError(f"shift range a_max must be at least 3, got {a_max}")
-    if not 0.0 < a_step <= 0.25:
-        raise ValueError(f"shift step must lie in (0, 0.25], got {a_step}")
-    if not grid.two_sided:
-        raise ValueError("covariance runs need a two-sided grid")
-    if m < 2:
-        raise ValueError(f"the covariance integral needs at least 2 draws for its error, got {m}")
-
-
 def chernoff_cov_integral(
     grid: PathGrid,
     a_max: float,
@@ -703,7 +692,14 @@ def chernoff_cov_integral(
     The window is enlarged internally by ``a_max`` so shifted minimizers
     stay away from the boundary.
     """
-    check_cov_integral_args(grid, a_max, a_step, m)
+    if a_max < 3.0:
+        raise ValueError(f"shift range a_max must be at least 3, got {a_max}")
+    if not 0.0 < a_step <= 0.25:
+        raise ValueError(f"shift step must lie in (0, 0.25], got {a_step}")
+    if not grid.two_sided:
+        raise ValueError("covariance runs need a two-sided grid")
+    if m < 2:
+        raise ValueError(f"the covariance integral needs at least 2 draws for its error, got {m}")
     rng = _as_rng(seed_or_rng)
     big = PathGrid(grid.half_width + math.ceil(a_max), grid.step, True)
     s = big.points()
@@ -821,11 +817,8 @@ class LimitBatch:
     draws: np.ndarray
     grid: PathGrid | None
     params: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.law_tag not in LAW_TAGS:
-            raise ValueError(f"unknown law tag {self.law_tag!r}")
         draws = np.asarray(self.draws, dtype=float)
         object.__setattr__(self, "draws", draws)
         if not np.all(np.isfinite(draws)):
@@ -851,17 +844,16 @@ def sample_limit_batch(
     ``beta`` must equal ``link.beta``.  Every other tag uses ``x0``, which
     must be interior to the feature support.
     """
-    if law_tag not in LAW_TAGS:
-        raise ValueError(f"unknown law tag {law_tag!r}")
+    own_grid = law_grid(law_tag, beta)
     if m < 1:
-        raise ValueError(f"limit draws must be at least 1, got {m} draws")
+        raise ValueError(f"need at least 1 limit draw, got {m} draws")
     if beta != link.beta:
         raise ValueError(f"flatness order beta={beta} does not match the link's {link.beta}")
     if law_tag != "l1_fast_maxA" and not -law.half_width < x0 < law.half_width:
         raise ValueError(f"x0 must be interior to the feature support, got {x0}")
-    if LAW_GRIDS[law_tag] is None and grid is not None:
+    if own_grid is None and grid is not None:
         raise ValueError(f"{law_tag} is drawn exactly and takes no grid")
-    grid = grid or law_grid(law_tag, beta)
+    grid = grid or own_grid
     rng = stream(seed, LAW_TAGS.index(law_tag))
     params: dict = {"x0": x0, "beta": beta}
     if law_tag == "scaled_chernoff":
@@ -879,4 +871,4 @@ def sample_limit_batch(
         draws = l1_fast_batch(link, m, rng)
         params.pop("x0")
     params["noise_scale"] = link.noise_scale
-    return LimitBatch(law_tag, draws, grid, params, seed)
+    return LimitBatch(law_tag, draws, grid, params)

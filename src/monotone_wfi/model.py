@@ -103,10 +103,6 @@ class LinkSpec:
                 raise ValueError("constant link needs params (level,) with level in [0, 1]")
 
     @property
-    def value_at_zero(self) -> float:
-        return float(link_eval(self, 0.0))
-
-    @property
     def taylor_coefficient(self) -> float:
         """``phi0^(beta)(0) / beta!``, so ``phi0(u) = phi0(0) + coef u^beta + o(u^beta)``.
 
@@ -120,7 +116,7 @@ class LinkSpec:
     @property
     def noise_scale(self) -> float:
         """sqrt(phi0(0) * (1 - phi0(0))): Bernoulli noise scale at the center."""
-        p = self.value_at_zero
+        p = float(link_eval(self, 0.0))
         return math.sqrt(p * (1.0 - p))
 
 
@@ -393,13 +389,6 @@ class Sample:
         cw, co = _cusums(self)
         return cw, co, _minorant_indices(cw, co)
 
-    @property
-    def ys(self) -> np.ndarray:
-        """Binary labels; defined only when no aggregation happened."""
-        if np.any(self.weights != 1):
-            raise ValueError("sample has aggregated duplicates; use ones/weights")
-        return self.ones.copy()
-
     @classmethod
     def from_draws(cls, xs, ys) -> "Sample":
         """Sort raw draws by feature and aggregate duplicate feature values."""
@@ -407,8 +396,6 @@ class Sample:
         ys = np.asarray(ys)
         if xs.ndim != 1 or ys.ndim != 1:
             raise ValueError("draws must be 1-D")
-        if xs.size == 0:
-            raise ValueError("empty sample")
         if xs.shape != ys.shape:
             raise ValueError("xs and ys must have equal length")
         if not ((ys == 0) | (ys == 1)).all():
@@ -454,8 +441,6 @@ def sample_from_csv_text(text: str) -> Sample:
             raise ValueError(f"line {lineno}: label must be 0 or 1")
         xs.append(x)
         ys.append(int(y))
-    if not xs:
-        raise ValueError("empty sample")
     return Sample.from_draws(np.array(xs), np.array(ys))
 
 

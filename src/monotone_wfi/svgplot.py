@@ -23,8 +23,6 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
@@ -43,7 +41,7 @@ def line_plot(
     logy: bool = False,
     annotations: tuple[str, ...] = (),
 ) -> None:
-    """Write a line plot; each series is a dict with xs, ys, label."""
+    """Write a line plot; each series is a dict with xs, ys, label and, optionally, dashed."""
 
     def tx(v: float) -> float:
         return math.log10(v) if logx else v
@@ -108,7 +106,7 @@ def line_plot(
     )
 
     for i, s in enumerate(series):
-        color = s.get("color", _PALETTE[i % len(_PALETTE)])
+        color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(
             f"{_fmt(px(tx(float(x))))},{_fmt(py(ty(float(y))))}"
             for x, y in zip(s["xs"], s["ys"])
@@ -119,10 +117,10 @@ def line_plot(
         )
     legend_y = _MT + 6
     for i, s in enumerate(series):
-        color = s.get("color", _PALETTE[i % len(_PALETTE)])
+        color = _PALETTE[i % len(_PALETTE)]
         out.append(
             f'<text x="{_W - _MR - 6}" y="{legend_y + 14 * i}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{_esc(s.get("label", f"series {i}"))}</text>'
+            f'font-size="11" fill="{color}">{_esc(s["label"])}</text>'
         )
     base = legend_y + 14 * len(series) + 6
     for j, note in enumerate(annotations):

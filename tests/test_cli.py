@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monotone_wfi import cli, estimator, experiments, limits
+from monotone_wfi import cli, estimator, experiments, limits, svgplot
 from monotone_wfi.cli import (
     SCHEMAS,
     ConfigError,
@@ -65,6 +65,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_text("rate-study", "seed = pi\n")
 
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        code = main(["simulate-limit", "--out", str(tmp_path), "--set", "limit.draws"])
+        assert code == 2
+        assert "--set needs key=value, got 'limit.draws'" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_worked_example(self, tmp_path, capsys):
@@ -114,6 +119,17 @@ class TestFitCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.csv" in err
+
+    def test_over_large_sample_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a lowered bound stands in for a sample past n = isqrt(2**63 - 1)
+        data = tmp_path / "d.csv"
+        _write(data, "x,y\n1,0\n2,1\n3,0\n4,1\n")
+        monkeypatch.setattr(estimator, "_MAX_N", 3)
+        code = main(["fit", "--input", str(data), "--output-prefix", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "fit: the exact hull takes at most n=3 draws, got n=4\n"
+        assert not (tmp_path / "o.steps.csv").exists()
 
     def test_header_required(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -256,6 +272,12 @@ class TestSimulateLimit:
         ])
         assert code == 2
 
+    def test_unknown_tag_message_names_the_tags(self, tmp_path, capsys):
+        main(["simulate-limit", "--out", str(tmp_path), "--set", "limit.law_tag=bogus"])
+        err = capsys.readouterr().err
+        assert err == f"simulate-limit: unknown law tag 'bogus'; choose from {limits.LAW_TAGS}\n"
+        assert not (tmp_path / "limit_batch.csv").exists()
+
 
 class TestStudyCommands:
     @pytest.mark.parametrize("gammas", ["0.8", "0.8,0.25"])
@@ -314,6 +336,16 @@ class TestStudyCommands:
             ])
             outs.append(_read(out / "rate_study.pointwise.svg"))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("xs, points", [
+        ([1, 2, 3], "70.00,374.09 345.00,374.09 620.00,374.09"),
+        ([2], "70.00,374.09"),
+    ])
+    def test_flat_series_plots_inside_the_frame(self, tmp_path, xs, points):
+        # a flat range [v, v] widens to [v, v + 1]; y then takes a 5 % pad, so y = v sits 1/22 up
+        path = tmp_path / "flat.svg"
+        svgplot.line_plot(path, [{"xs": xs, "ys": [0.5] * len(xs), "label": "flat"}])
+        assert f'<polyline points="{points}"' in _read(path)
 
     def test_lower_bound_audit_manifest(self, tmp_path):
         out = tmp_path / "audit"
@@ -415,6 +447,12 @@ class TestStudyCommands:
         text = capsys.readouterr().out
         assert "study.gammas" in text
         assert parse_config_text("rate-study", text)["study.replicates"] == 400
+
+    def test_emit_config_to_a_file(self, tmp_path, capsys):
+        out = tmp_path / "rate.cfg"
+        assert main(["emit-config", "rate-study", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert _read(out) == emit_config_text("rate-study")
 
     def test_config_file_plus_set_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg"

@@ -1,5 +1,6 @@
 """Cusum diagram, minorant kernel, fits, inverse process, switch relation."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -140,6 +141,23 @@ class TestConvexMinorant:
         )
         with pytest.raises(HullCertificateError, match="n=4 "):
             _minorant_indices(cw, co)
+
+    def test_sample_past_the_int64_bound_rejected(self):
+        # at n = 1.4e10 the int64 cross products wrap and the certificate
+        # failed; the same counts over 1e9, and the float oracle, fit fine
+        big = Sample([0, 1, 2], [3e9, 1e9, 6e9], [4e9, 4e9, 6e9])
+        assert list(npmle_fit(Sample([0, 1, 2], [3, 1, 6], [4, 4, 6])).values) == [0.5, 1.0]
+        assert list(pava_fit(big).values) == [0.5, 1.0]
+        with pytest.raises(ValueError, match="at most n=3037000499 draws, got n=14000000000"):
+            npmle_fit(big)
+
+    def test_sample_at_the_int64_bound_fits(self):
+        n, k = math.isqrt(2**63 - 1), 10**8
+        s = Sample([0, 1, 2], [3 * k, k, n - 8 * k], [4 * k, 4 * k, n - 8 * k])
+        assert s.n == n and list(npmle_fit(s).values) == [0.5, 1.0]
+        past = Sample([0, 1, 2], [3 * k, k, n - 8 * k], [4 * k, 4 * k, n - 8 * k + 1])
+        with pytest.raises(ValueError, match=f"got n={n + 1}"):
+            npmle_fit(past)
 
     def test_tie_merge_at_scale(self):
         # a pinned n = 32768 draw whose float blocks split one hull segment
@@ -510,6 +528,10 @@ class TestStepEstimate:
             StepEstimate(np.array([1.0, 2.0]), np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             StepEstimate(np.array([2.0, 1.0]), np.array([0.1, 0.4]))
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            StepEstimate(np.array([1.0, 2.0]), np.array([0.5]))
 
 
 class TestOnRealScenario:

@@ -159,6 +159,18 @@ class TestChernoffSampler:
         draws = draws + COARSE.step * (stream(14).random(m) - 0.5)
         assert kstest(draws, chernoff_table().cdf_at).statistic <= 1.95 / math.sqrt(m)
 
+    @pytest.mark.parametrize("grid, b, match", [
+        (COARSE_UNIT, 1.0, "two-sided"),
+        (COARSE, 0.0, "b must be positive"),
+        (COARSE, -1.0, "b must be positive"),
+    ])
+    def test_argmin_inputs_checked(self, grid, b, match):
+        with pytest.raises(ValueError, match=match):
+            argmin_quadratic_batch(grid, 10, 1, b=b)
+        if b > 0:
+            with pytest.raises(ValueError, match=match):
+                chernoff_batch(grid, 10, 1)
+
     def test_escape_raises_on_mis_set_grid(self):
         g = PathGrid(4.0, 0.04, True)
         with pytest.raises(GridEscapeError, match="last half-width 32.0"):
@@ -565,6 +577,10 @@ class TestSlowRegimeSampler:
         with pytest.raises(ValueError, match="strictly positive"):
             slow_limit_batch(flat, UNIFORM, 0.0, COARSE, 10, 1)
 
+    def test_needs_a_two_sided_grid(self):
+        with pytest.raises(ValueError, match="two-sided"):
+            slow_limit_batch(LOGISTIC, UNIFORM, 0.0, COARSE_UNIT, 10, 1)
+
     def test_higher_flatness_off_the_flat_point_rejected_before_any_path(self, monkeypatch):
         # the s^(beta+1) drift expands the link at 0, where only it is flat
         def no_paths(*args):
@@ -855,6 +871,23 @@ class TestMonteCarloConstants:
         with pytest.raises(ValueError):
             chernoff_cov_integral(COARSE, 4.0, 0.5, 1000, 1)
 
+    @pytest.mark.parametrize("grid, a_max, a_step, m, match", [
+        (COARSE, 2.5, 0.25, 10, "a_max"),
+        (COARSE, 4.0, 0.0, 10, "shift step"),
+        (COARSE, 4.0, 0.3, 10, "shift step"),
+        (PathGrid(4.0, 0.004, False), 4.0, 0.25, 10, "two-sided"),
+        (COARSE, 4.0, 0.25, 1, "at least 2 draws"),
+    ])
+    def test_cov_integral_inputs_checked_before_any_path(
+        self, monkeypatch, grid, a_max, a_step, m, match
+    ):
+        def no_paths(*args):
+            raise AssertionError("a path was drawn before the input check")
+
+        monkeypatch.setattr(limits, "_scaled_normals", no_paths)
+        with pytest.raises(ValueError, match=match):
+            chernoff_cov_integral(grid, a_max, a_step, m, 1)
+
     def test_shift_family_stationarity(self):
         # X(a) - a has the centered law for every shift
         wide = PathGrid(8.0, 0.004, True)
@@ -876,6 +909,11 @@ class TestCenteringAndVariance:
         exact = 4 ** (1 / 3) / 4 * beta_fn(0.5, 4 / 3)
         assert exact == pytest.approx(0.6677476047133829, abs=1e-15)
         assert mu_n(scn, 2000, 1.0) == pytest.approx(0.6677476047133829, abs=1e-10)
+
+    def test_centering_needs_a_positive_link_slope(self):
+        scn = Scenario(LinkSpec("constant", params=(0.5,)), UNIFORM, 1.0, 0.25)
+        with pytest.raises(ValueError, match="strictly positive link slope"):
+            mu_n(scn, 1000, 0.41)
 
     def test_centering_positive_and_linear(self):
         scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)

@@ -129,6 +129,11 @@ class TestL1Error:
             1.0, abs=1e-13
         )
 
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, -1.0)])
+    def test_empty_interval_is_zero(self, interval):
+        step = StepEstimate(np.array([-0.5]), np.array([0.5]))
+        assert l1_error(step, _const(0.25), "lebesgue", interval=interval) == 0.0
+
     def test_affine_target_closed_form(self):
         empty = StepEstimate(np.array([]), np.array([]))
         target = lambda x: (np.asarray(x, dtype=float) + 1.0) / 4.0

@@ -104,7 +104,7 @@ class TestLinkValues:
     def test_leading_derivative_matches_difference_quotient(self, link):
         # phi0(u) - phi0(0) = (phi0^(beta)(0) / beta!) u^beta + O(u^(beta+1))
         u = 1e-6 ** (1.0 / link.beta)
-        quotient = (link_eval(link, u) - link.value_at_zero) / u**link.beta
+        quotient = (link_eval(link, u) - link_eval(link, 0.0)) / u**link.beta
         assert link.taylor_coefficient == pytest.approx(quotient, rel=1e-6)
 
     def test_even_beta_rejected(self):
@@ -118,6 +118,20 @@ class TestLinkValues:
     def test_only_beta_flat_takes_higher_flatness(self, kind, params):
         with pytest.raises(ValueError, match="beta = 1"):
             LinkSpec(kind, beta=3, params=params)
+
+    @pytest.mark.parametrize("kind, beta, params, match", [
+        ("cauchy", 1, (), "unknown link kind"),
+        ("logistic", 0, (), "positive integer"),
+        ("probit", 1, (0.0,), "probit scale"),
+        ("affine", 1, (0.5,), r"params \(intercept, slope\)"),
+        ("affine", 1, (1.0, 0.2), "affine intercept"),
+        ("affine", 1, (0.5, 0.0), "affine slope"),
+        ("constant", 1, (), "level"),
+        ("constant", 1, (1.5,), "level"),
+    ])
+    def test_invalid_link_rejected(self, kind, beta, params, match):
+        with pytest.raises(ValueError, match=match):
+            LinkSpec(kind, beta=beta, params=params)
 
     def test_inverse_round_trip(self):
         for link in ALL_LINKS:
@@ -261,6 +275,15 @@ class TestFeatureLaws:
         with pytest.raises(ValueError, match="half-width"):
             FeatureLaw("uniform", half_width)
 
+    @pytest.mark.parametrize("kind, params, match", [
+        ("gamma", (), "unknown feature law kind"),
+        ("polynomial", (1.0,), "tilt"),
+        ("polynomial", (-0.1,), "tilt"),
+    ])
+    def test_invalid_law_rejected(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            FeatureLaw(kind, 1.0, params)
+
     def test_uniform_law_has_no_tilt(self):
         stray = FeatureLaw("uniform", 1.0, (0.5,))
         assert stray.tilt == 0.0
@@ -398,6 +421,20 @@ class TestSample:
         with pytest.raises(ValueError, match="finite"):
             Sample(np.array([0.0, bad]), np.array([0, 1]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("xs, ones, weights, match", [
+        ([0.0, 1.0], [0], [1, 1], "equal length"),
+        ([0.0, 1.0], [0, 0], [1, 0], "positive integers"),
+        ([0.0, 1.0], [0, 2], [1, 1], "label counts"),
+        ([0.0, 1.0], [-1, 0], [1, 1], "label counts"),
+    ])
+    def test_invalid_blocks_rejected(self, xs, ones, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Sample(np.array(xs), np.array(ones), np.array(weights))
+
+    def test_draws_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Sample.from_draws([1.0, 2.0], [0])
+
     @pytest.mark.parametrize("xs, ys", [
         (np.ones((2, 2)), np.ones((2, 2))),
         (np.ones(4), np.ones((2, 2))),
@@ -406,13 +443,6 @@ class TestSample:
     def test_draws_must_be_one_dimensional(self, xs, ys):
         with pytest.raises(ValueError, match="1-D"):
             Sample.from_draws(xs, ys)
-
-    def test_ys_only_for_unit_weights(self):
-        s = Sample.from_draws([1.0, 2.0], [0, 1])
-        assert np.array_equal(s.ys, [0, 1])
-        agg = Sample.from_draws([1.0, 1.0], [0, 1])
-        with pytest.raises(ValueError):
-            agg.ys
 
 
 def _unique_reference(xs, ys):
@@ -535,6 +565,12 @@ class TestSampling:
         assert s.xs.tobytes() == (uniq + 0.0).tobytes()
         assert s.ones.tobytes() == ones.tobytes() and s.weights.tobytes() == counts.tobytes()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_size_below_one_rejected(self, n):
+        scn = Scenario(LOGISTIC, UNIFORM, 1.0, 0.25)
+        with pytest.raises(ValueError, match="at least 1"):
+            draw_sample(scn, n, stream(1))
+
     def test_degenerate_link_gives_constant_labels(self):
         scn = Scenario(LinkSpec("constant", params=(1.0,)), UNIFORM, 1.0, 0.5)
         s = sample_dataset(scn, 300, 3)
@@ -623,6 +659,15 @@ class TestPointwiseHypotheses:
         with pytest.raises(ValueError, match="interior"):
             build_pointwise_hypotheses(0.001, 400, 0.4, UNIFORM, 1.0)
 
+    @pytest.mark.parametrize("delta, n, c, x0, match", [
+        (0.001, 25, 0.4, 0.0, "fast case needs n"),
+        (0.22, 25, 0.19, 0.0, "slow case needs n"),
+        (0.1, 10_000, 0.09, 0.95, "kink offset"),
+    ])
+    def test_size_and_kink_constraints_are_named(self, delta, n, c, x0, match):
+        with pytest.raises(ValueError, match=match):
+            build_pointwise_hypotheses(delta, n, c, UNIFORM, x0)
+
     def test_default_constants_satisfy_paper_slack(self):
         c_slow = default_slow_pair_constant(UNIFORM)
         assert 0 < c_slow < min((4.0) ** (1 / 3) / 8, 16.0 ** (-1 / 3))
@@ -688,6 +733,28 @@ class TestAssouadCube:
         with pytest.raises(ValueError):
             build_assouad_cube(0.3, 10_000, 0.25, 1.0)
 
+    @pytest.mark.parametrize("c, t, match", [(0.25, 0.0, "half-width"), (0.0, 1.0, "constant")])
+    def test_half_width_and_constant_errors(self, c, t, match):
+        with pytest.raises(ValueError, match=match):
+            build_assouad_cube(0.1, 10_000, c, t)
+
+    @pytest.mark.parametrize("extra, value, match", [(1, 0, "length"), (0, 2, "0 or 1")])
+    def test_bit_vector_checked(self, extra, value, match):
+        cube = build_assouad_cube(0.1, 10_000, 0.2, 1.0)
+        with pytest.raises(ValueError, match=match):
+            cube.function(np.full(cube.m + extra, value))
+
+
+class TestPiecewiseAffine:
+    @pytest.mark.parametrize("knots, values, match", [
+        ([0.0], [0.5], "length >= 2"),
+        ([0.0, 0.0], [0.2, 0.5], "strictly increasing"),
+        ([0.0, 1.0], [0.5, 0.2], "nondecreasing"),
+    ])
+    def test_invalid_pieces_rejected(self, knots, values, match):
+        with pytest.raises(ValueError, match=match):
+            PiecewiseAffine(knots, values)
+
 
 class TestSlopeBand:
     def test_steep_function_fails(self):
@@ -750,3 +817,15 @@ class TestSampleCsv:
             sample_from_csv_text("x,y\n1,0\n2,0.4\n")
         with pytest.raises(ValueError, match="empty"):
             sample_from_csv_text("x,y\n")
+
+    def test_non_numeric_field_names_line(self):
+        from monotone_wfi.model import sample_from_csv_text
+
+        with pytest.raises(ValueError, match="line 2: non-numeric"):
+            sample_from_csv_text("x,y\none,0\n")
+
+    def test_blank_lines_skipped(self):
+        from monotone_wfi.model import sample_from_csv_text
+
+        s = sample_from_csv_text("x,y\n1,0\n\n  \n2,1\n")
+        assert np.array_equal(s.xs, [1.0, 2.0]) and np.array_equal(s.ones, [0, 1])
