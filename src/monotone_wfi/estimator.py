@@ -8,7 +8,9 @@ constant at and beyond the largest point.
 
 The minorant is the isotonic (pool-adjacent-violators) fit of the block
 label means, so its vertices are read off the blocks of
-``scipy.optimize.isotonic_regression``.  The diagram is kept in integer
+:func:`isotonic_regression`: scipy's compiled PAVA loaded from its file,
+which spares every run the import of ``scipy.optimize`` (and with it
+``scipy.linalg`` and ``scipy.special``).  The diagram is kept in integer
 counts: block boundaries between exactly equal slopes are dropped, and
 the blocks are accepted only after an integer certificate proves them to
 be the exact hull (:class:`HullCertificateError` otherwise).  A
@@ -19,10 +21,13 @@ linear ramp gives the estimator's generalized inverse.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .model import Sample
 
@@ -39,6 +44,41 @@ __all__ = [
 
 
 _MAX_N = 3_037_000_499  # isqrt(2**63 - 1): every cross product of the hull fits int64
+
+
+def _load_isotonic_regression():
+    """``scipy.optimize.isotonic_regression`` (increasing), bit for bit, on its PAVA alone.
+
+    The compiled module ``scipy.optimize._pava_pybind`` is loaded from its
+    file: ``importlib.util.find_spec`` would import ``scipy.optimize``, the
+    half-second this avoids.  The module is private to scipy (present from
+    1.12), so without its file the public function is returned.
+    """
+    import scipy
+
+    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_pava_pybind")
+    paths = [base + suffix for suffix in EXTENSION_SUFFIXES if os.path.isfile(base + suffix)]
+    if not paths:
+        from scipy.optimize import isotonic_regression
+
+        return isotonic_regression
+    loader = ExtensionFileLoader("scipy.optimize._pava_pybind", paths[0])
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+
+    def isotonic_regression(y, *, weights=None):
+        """Isotonic fit ``x``, block ``weights`` and block ends ``blocks`` of ``y``."""
+        x = np.array(y, dtype=np.float64, order="C")  # a copy: pava works in place
+        w = np.ones_like(x) if weights is None else np.array(weights, dtype=np.float64, order="C")
+        if weights is not None and (w.shape != x.shape or (w <= 0).any()):
+            raise ValueError("weights must be strictly positive, one per value")
+        x, w, r, b = module.pava(x, w, np.full(x.size + 1, -1, dtype=np.intp))
+        return SimpleNamespace(x=x, weights=w[:b], blocks=r[: b + 1])
+
+    return isotonic_regression
+
+
+isotonic_regression = _load_isotonic_regression()
 
 
 class HullCertificateError(RuntimeError):

@@ -6,12 +6,15 @@ see the per-criterion lines as they complete.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import monotone_wfi
 from monotone_wfi.estimator import (
     log_likelihood,
     npmle_fit,
@@ -394,6 +397,8 @@ def test_12_inverse_process_scaling():
 
 def test_13_determinism_serial_vs_parallel(tmp_path):
     start = time.time()
+    # the children find the package where this process imported it from
+    env = {**os.environ, "PYTHONPATH": str(Path(monotone_wfi.__file__).resolve().parents[1])}
     outs = {}
     for tag, threads in (("serial", "1"), ("parallel", "8")):
         for rerun in ("a", "b"):
@@ -408,7 +413,7 @@ def test_13_determinism_serial_vs_parallel(tmp_path):
                 "--set", "study.n_list=64,128,256",
                 "--set", "study.replicates=64",
             ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             outs[(tag, rerun)] = (
                 (out / "rate_study.csv").read_bytes(),
@@ -423,7 +428,7 @@ def test_13_determinism_serial_vs_parallel(tmp_path):
             "--threads", threads,
             "--set", "limit.draws=2000",
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs[("limit", tag)] = ((out / "limit_batch.csv").read_bytes(),)
     identical = (

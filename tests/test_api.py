@@ -38,6 +38,16 @@ def test_benchmark_trace_targets_exist():
     assert not missing, f"traced names missing: {missing}"
 
 
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports the package from ``src``."""
+    src = str(Path(monotone_wfi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    )
+    return done.stdout.strip()
+
+
 def test_package_import_loads_nothing_else():
     # names are imported from their modules; the package init is a docstring
     # and a version, so importing it costs neither a submodule nor scipy
@@ -46,12 +56,48 @@ def test_package_import_loads_nothing_else():
         "print(sorted(m for m in sys.modules if m.startswith('monotone_wfi.') "
         "or m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(monotone_wfi.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    # scipy.optimize, for its PAVA alone, was most of every run's 0.6 s set-up;
+    # the stand-in's fall-back to it would show here too
+    code = (
+        "import sys, monotone_wfi.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.special', 'concurrent.futures.process') "
+        "if m in sys.modules])"
     )
-    assert done.stdout.strip() == "[]"
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_missing_pava_file_falls_back_to_scipy(tmp_path, monkeypatch):
+    # the compiled module is private to scipy: without its file, the public
+    # function takes over, and every fit keeps its bytes
+    import scipy
+    from scipy.optimize import isotonic_regression
+
+    from monotone_wfi import estimator, limits
+    from monotone_wfi.model import FeatureLaw, LinkSpec, Scenario, draw_sample
+    from monotone_wfi.streams import stream
+
+    def fits() -> list[bytes]:
+        scn = Scenario(LinkSpec("logistic"), FeatureLaw("uniform", 1.0), 1.0, 0.0)
+        steps = [estimator.npmle_fit(draw_sample(scn, n, stream(8, n))) for n in (1, 50, 4096)]
+        grid = limits.PathGrid(1.0, 0.01, True)
+        return [f.jump_xs.tobytes() + f.values.tobytes() for f in steps] + [
+            limits.argmin_quadratic_batch(grid, 100, stream(9), 2.0, 0.5, 1.0).tobytes(),
+            limits.slow_limit_batch(scn.link, scn.law, 0.0, grid, 100, stream(10)).tobytes(),
+        ]
+
+    loaded = fits()
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        fallback = estimator._load_isotonic_regression()
+    assert fallback is isotonic_regression
+    assert estimator.isotonic_regression is not isotonic_regression
+    monkeypatch.setattr(estimator, "isotonic_regression", fallback)
+    monkeypatch.setattr(limits, "isotonic_regression", fallback)
+    assert fits() == loaded
 
 
 def test_source_within_its_line_budget():

@@ -21,7 +21,7 @@ from monotone_wfi.estimator import (
     pava_fit,
     switch_check,
 )
-from monotone_wfi import estimator
+from monotone_wfi import estimator, limits
 from monotone_wfi.estimator import (
     _cusums,
     _minorant_indices,
@@ -212,6 +212,49 @@ class TestMinorantKernelProperties:
         keep = _minorant_indices(cw, co)
         assert np.array_equal(keep, lower_hull_indices(cw, co))
         _assert_is_minorant(cw, co, keep)
+
+
+def _same_fit(y, weights=None):
+    """The stand-in's fit, checked byte for byte against scipy's public function."""
+    ours = estimator.isotonic_regression(y, weights=weights)
+    ref = isotonic_regression(y, weights=weights)
+    for key in ("x", "weights", "blocks"):
+        assert getattr(ours, key).tobytes() == getattr(ref, key).tobytes(), key
+    return ours
+
+
+class TestIsotonicStandIn:
+    """``estimator.isotonic_regression``: scipy's compiled PAVA, loaded on its own."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_samples())
+    @example(Sample.from_draws(np.arange(30.0), SPLIT_LABELS))  # scipy's blocks [0, 28, 30]
+    def test_weighted_diagrams_match_scipy(self, s):
+        cw, co = _cusums(s)
+        dw, do = np.diff(cw), np.diff(co)
+        _same_fit(do / dw, dw)
+
+    def test_grid_rows_match_scipy(self):
+        # unweighted rows of drawn increments, as the limit-law readers fit them
+        grid = limits.PathGrid(2.0, 0.01, True)
+        drift_inc = np.diff(grid.points() ** 2)
+
+        def read(row):
+            return _same_fit(row).blocks.size
+
+        sizes = limits._grid_draws(grid, 64, stream(11), drift_inc, 1.0, read)
+        assert sizes.size == 64 and sizes.min() > 2
+
+    def test_input_unchanged(self):
+        y, w = np.array([3.0, 1.0, 2.0, 0.5]), np.array([1, 2, 3, 4])
+        kept = y.copy(), w.copy()
+        assert list(estimator.isotonic_regression(y, weights=w).blocks) == [0, 4]
+        assert y.tobytes() == kept[0].tobytes() and w.tobytes() == kept[1].tobytes()
+
+    @pytest.mark.parametrize("weights", [[1, 0, 1], [1, -1, 1], [1.0, 1e-300, -0.0], [1, 1]])
+    def test_rejects_nonpositive_or_misshaped_weights(self, weights):
+        with pytest.raises(ValueError, match="strictly positive, one per value"):
+            estimator.isotonic_regression(np.array([1.0, 0.0, 2.0]), weights=weights)
 
 
 class TestExactnessProperties:
