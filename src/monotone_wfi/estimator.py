@@ -10,7 +10,7 @@ The minorant is the isotonic (pool-adjacent-violators) fit of the block
 label means, so its vertices are read off the blocks of
 :func:`isotonic_regression`: scipy's compiled PAVA loaded from its file,
 which spares every run the import of ``scipy.optimize`` (and with it
-``scipy.linalg`` and ``scipy.special``).  The diagram is kept in integer
+``scipy.linalg``).  The diagram is kept in integer
 counts: block boundaries between exactly equal slopes are dropped, and
 the blocks are accepted only after an integer certificate proves them to
 be the exact hull (:class:`HullCertificateError` otherwise).  A
@@ -51,7 +51,7 @@ def _load_isotonic_regression():
 
     The compiled module ``scipy.optimize._pava_pybind`` is loaded from its
     file: ``importlib.util.find_spec`` would import ``scipy.optimize``, the
-    half-second this avoids.  The module is private to scipy (present from
+    import this avoids.  The module is private to scipy (present from
     1.12), so without its file the public function is returned.
     """
     import scipy

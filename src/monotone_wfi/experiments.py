@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,16 +159,6 @@ def _chunk(stat, ids: tuple, scn: Scenario, arg, seed_base: int, n: int, reps) -
     return out
 
 
-def __getattr__(name: str):
-    # the pool class stays a module attribute (tests and the benchmark swap
-    # it) but loads only when a study pools: a serial run never imports it
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor
-
-
 def _replicates(heads, cfg: StudyConfig) -> list[list[tuple]]:
     """Records of every head ``(stat, ids, scn, arg, n)``: one list per head, in replicate order."""
     threads = os.cpu_count() or 1 if cfg.threads == 0 else max(1, cfg.threads)
@@ -183,8 +173,7 @@ def _replicates(heads, cfg: StudyConfig) -> list[list[tuple]]:
     if threads <= 1 or len(tasks) <= 1:
         parts = [_chunk(*t) for t in tasks]
     else:
-        # through the module, so that a swapped-in pool class is the one used
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_chunk, *t) for t in tasks]
             try:
                 parts = [f.result() for f in futures]

@@ -33,6 +33,7 @@ from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy.special import airy
 
 from .estimator import isotonic_regression
 from .metrics import QuadratureCfg, _gl_checked, _split_points
@@ -335,8 +336,6 @@ def chernoff_table() -> ChernoffTable:
     ``h (f_k + f_k+1) / 2 + h^2 (f'_k - f'_k+1) / 12``, the exact integral
     of the Hermite cubic of the density.
     """
-    from scipy.special import airy  # on first use, like the table
-
     lam = _AIRY_STEP * np.arange(round(_AIRY_MAX / _AIRY_STEP) + 1)
     ghat = 2.0 ** (1.0 / 3.0) / airy(1j * 2.0 ** (-1.0 / 3.0) * lam)[0]
     weights = np.full(lam.size, _AIRY_STEP / math.pi)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import erf, erfinv, logit
 
 __all__ = [
     "LinkSpec",
@@ -134,8 +135,6 @@ def link_eval(link: LinkSpec, u) -> np.ndarray | float:
     if link.kind == "logistic":
         out = _logistic(u)
     elif link.kind == "probit":
-        from scipy.special import erf  # on first use: it loads slower than a small run takes
-
         scale = link.params[0] if link.params else 1.0
         out = 0.5 * (1.0 + erf(u / (scale * math.sqrt(2.0))))
     elif link.kind == "affine":
@@ -183,20 +182,14 @@ def link_inverse(link: LinkSpec, p) -> np.ndarray | float:
     scalar = np.isscalar(p)
     p = np.asarray(p, dtype=float)
     if link.kind == "logistic":
-        from scipy.special import logit  # on first use, as in link_eval
-
         out = logit(p)
     elif link.kind == "probit":
-        from scipy.special import erfinv
-
         scale = link.params[0] if link.params else 1.0
         out = scale * math.sqrt(2.0) * erfinv(2.0 * p - 1.0)
     elif link.kind == "affine":
         a, b = link.params
         out = (p - a) / b
     elif link.kind == "beta_flat":
-        from scipy.special import logit
-
         z = logit(p)
         out = np.copysign(np.abs(z) ** (1.0 / link.beta), z)
     else:

@@ -2,16 +2,11 @@
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import monotone_wfi
 from monotone_wfi import cli, estimator, experiments, limits, svgplot
 from monotone_wfi.cli import (
     SCHEMAS,
@@ -650,30 +645,6 @@ def test_records_identical_across_threads(tmp_path, monkeypatch, command):
         texts.append(_read(out / f"{stem}.csv"))
     assert pools == [2, 3]
     assert texts[0] == texts[1] == texts[2]
-
-
-def test_probit_rate_study_identical_across_threads_in_fresh_processes(tmp_path):
-    # a fresh CLI process loads scipy.special on first use; with two pool
-    # workers it must still write the serial bytes
-    env = {**os.environ, "PYTHONPATH": str(Path(monotone_wfi.__file__).resolve().parents[1])}
-    runs = []
-    for threads in ("1", "2"):
-        cwd = tmp_path / threads
-        cwd.mkdir()
-        subprocess.run(
-            [sys.executable, "-m", "monotone_wfi.cli", "rate-study", "--out", "out",
-             "--threads", threads, "--seed", "7", "--set", "scenario.link=probit",
-             "--set", "study.gammas=0.25", "--set", "study.n_list=64,128,256",
-             "--set", "study.replicates=64"],
-            cwd=cwd, env=env, capture_output=True, text=True, check=True,
-        )
-        manifest = json.loads(_read(cwd / "out" / "rate_study.manifest.json"))
-        # the thread count and the hash of the config that holds it may differ
-        assert manifest["config"].pop("threads") == int(threads)
-        del manifest["config_sha256"]
-        runs.append(((cwd / "out" / "rate_study.csv").read_bytes(), manifest))
-    assert runs[0][1]["config"]["scenario.link"] == "probit"
-    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("flag", [["--threads", "-3"], ["--set", "threads=-1"]])

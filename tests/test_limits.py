@@ -1,12 +1,14 @@
 """Limit-law samplers: paths, argmin draws, minorant slopes, constants."""
 
 import math
+import os
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from scipy.optimize import isotonic_regression
 from scipy.special import beta as beta_fn
 from scipy.stats import chi, kstest, norm
 
+import monotone_wfi
 from hull_oracle import argmin_last, lower_hull_indices
 from monotone_wfi.limits import (
     DEFAULT_EDGE_GRID,
@@ -221,7 +224,9 @@ class TestExactChernoffLaw:
             "import monotone_wfi.cli; from monotone_wfi import limits; "
             "assert limits.chernoff_table.cache_info().currsize == 0"
         )
-        subprocess.run([sys.executable, "-c", code], check=True)
+        # the child finds the package where this process imported it from
+        src = str(Path(monotone_wfi.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestBatchDrivers:
