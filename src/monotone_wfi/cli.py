@@ -101,8 +101,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "study.replicates": ("int", 400),
         "study.x0": ("float", 0.0),
         "study.centering_draws": ("int", 0),
-        "tolerances.slope": ("float", 0.07),
-        "tolerances.centering": ("float", 0.10),
     },
     "limit-compare": {
         **_COMMON_KEYS,
@@ -112,7 +110,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "study.replicates": ("int", 2000),
         "study.x0": ("float", 0.0),
         "study.limit_draws": ("int", 50000),
-        "tolerances.ks": ("float", 0.10),
     },
     "lower-bound-audit": {
         **_COMMON_KEYS,
@@ -136,7 +133,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "study.replicates": ("int", 400),
         "study.x0": ("float", 0.0),
         "study.probe_xs": ("floats", (0.05, 0.1, 0.2)),
-        "tolerances.slope": ("float", 0.1),
     },
     "consistency": {
         **_COMMON_KEYS,
@@ -145,7 +141,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "study.replicates": ("int", 200),
         "study.hellinger_ns": ("ints", (400, 6400)),
         "study.sup_gammas": ("floats", (0.25, 0.8)),
-        "tolerances.hellinger_ratio": ("float", 0.55),
     },
     "simulate-limit": {
         **_COMMON_KEYS,
@@ -301,7 +296,6 @@ def _study_config(cfg: dict, scenario: Scenario, **own_fields) -> StudyConfig:
         cfg["study.replicates"],
         seed_base=cfg["seed"],
         threads=cfg["threads"],
-        tolerances=_keys_under(cfg, "tolerances"),
         **own_fields,
     )
 
@@ -429,7 +423,6 @@ def _cmd_rate_study(cfg: dict, args) -> int:
     res = StudyResult(
         results[0].columns,
         [rec for r in results for rec in r.records],
-        {},
         {
             "per_gamma": {repr(float(g)): r.manifest for g, r in zip(gammas, results)},
             "flags": {f"gamma_{g}": r.passed for g, r in zip(gammas, results)},
@@ -437,8 +430,8 @@ def _cmd_rate_study(cfg: dict, args) -> int:
     )
     out = _write_study(cfg, "rate-study", res)
     notes = tuple(
-        f"gamma={g:g}: slope pw {r.summary['slope_pointwise']:.3f}, "
-        f"L1 {r.summary['slope_l1']:.3f} (target {r.summary['target_slope']:.3f})"
+        f"gamma={g:g}: slope pw {r.manifest['slope_pointwise']:.3f}, "
+        f"L1 {r.manifest['slope_l1']:.3f} (target {r.manifest['target_slope']:.3f})"
         for g, r in zip(gammas, results)
     )
     for part, title in (("pointwise", "Pointwise"), ("l1", "Integrated")):
@@ -447,7 +440,7 @@ def _cmd_rate_study(cfg: dict, args) -> int:
             [
                 {
                     "xs": list(cfg["study.n_list"]),
-                    "ys": r.summary[f"medians_{part}"],
+                    "ys": r.manifest[f"medians_{part}"],
                     "label": f"gamma={g:g}",
                 }
                 for g, r in zip(gammas, results)
@@ -477,7 +470,7 @@ def _cmd_limit_compare(cfg: dict, args) -> int:
         out / "limit_compare.cdf.svg",
         [res.extras["finite"][n_big], res.extras["limit"][n_big]],
         [f"finite n={n_big}", "limit law"],
-        title=f"{cfg['study.regime']}: KS={res.summary['ks'][n_big]:.4f}",
+        title=f"{cfg['study.regime']}: KS={res.manifest['ks'][str(n_big)]:.4f}",
     )
     return _check_exit(args, res)
 
@@ -522,7 +515,7 @@ def _cmd_tail_probe(cfg: dict, args) -> int:
         [
             {
                 "xs": list(cfg["study.n_list"]),
-                "ys": res.summary["medians"],
+                "ys": res.manifest["medians"],
                 "label": "median deviation",
             }
         ],
@@ -532,7 +525,7 @@ def _cmd_tail_probe(cfg: dict, args) -> int:
         logx=True,
         logy=True,
         annotations=(
-            f"slope {res.summary['slope']:.3f} (target {res.manifest['target_slope']:.3f})",
+            f"slope {res.manifest['slope']:.3f} (target {res.manifest['target_slope']:.3f})",
         ),
     )
     return _check_exit(args, res)
@@ -560,7 +553,6 @@ def _cmd_constants(cfg: dict, args) -> int:
     res = StudyResult(
         ("name", "estimate", "se"),
         [("chernoff_abs_mean", exact, 0.0), ("cov_integral", cov.estimate, cov.se)],
-        {},
         {
             "chernoff_abs_mean": exact,
             "chernoff_abs_mean_mc": mc,

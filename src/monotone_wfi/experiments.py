@@ -6,6 +6,11 @@ experiment ``e`` at sample size ``n`` draws from the stream
 ``round(gamma * 10^6)`` and only the consistency study (``e = 4``) has
 a ``sub`` id: 1 for its Hellinger half, 2 for its sup-norm half.  Serial
 and worker-pool runs produce identical records, in replicate order.
+
+A study returns its records and its manifest.  The manifest is the
+study's one record of the numbers it derives and of the pass/fail flags
+that ``--check`` reads; each flag's tolerance is a fixed constant beside
+the study that decides it, not a config key.
 """
 
 from __future__ import annotations
@@ -88,7 +93,6 @@ class StudyConfig:
     limit_draws: int = 50_000
     centering_draws: int = 0
     probe_xs: tuple[float, ...] = ()
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         ns = tuple(int(n) for n in self.n_list)
@@ -102,6 +106,8 @@ class StudyConfig:
         t = self.scenario.law.half_width
         if not -t < self.x0 < t:
             raise ValueError(f"x0 must be interior to the feature support, got {self.x0}")
+        if not all(map(math.isfinite, self.probe_xs)):
+            raise ValueError(f"probe thresholds must be finite, got {self.probe_xs}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +128,10 @@ class AuditConfig:
 
 @dataclass
 class StudyResult:
-    """Records plus derived summaries and a manifest of pass/fail flags."""
+    """Records, the manifest (derived numbers and pass/fail flags) and the arrays figures draw."""
 
     columns: tuple[str, ...]
     records: list[tuple]
-    summary: dict
     manifest: dict
     extras: dict = field(default_factory=dict)
 
@@ -210,6 +215,9 @@ def expected_rate_slope(gamma: float, beta: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # rate studies
 
+_RATE_SLOPE_TOL = 0.07  # |fitted - target| log-log slope, pointwise and L1
+_CENTERING_TOL = 0.10  # |mean scaled L1 error / (mu_n + B_n) - 1|
+
 
 def _rate_stat(scn: Scenario, arg, n: int, sample) -> tuple:
     x0, phi, target = arg
@@ -241,7 +249,7 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
     centering ``mu_n + B_n``: the first-order term from the exact
     ``E|X(0)|`` plus the support-boundary layer, whose constant ``D`` is
     simulated from ``centering_draws`` paths.  The decomposition goes
-    into the summary and the manifest.
+    into the manifest.
     """
     check_rate_study(cfg)
     scn = cfg.scenario
@@ -259,9 +267,12 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
     slope_pw, se_pw = fit_loglog_slope(ns, med_pw)
     slope_l1, se_l1 = fit_loglog_slope(ns, med_l1)
     target = expected_rate_slope(gamma, scn.beta)
-    tol = float(cfg.tolerances.get("slope", 0.07))
-
-    summary = {
+    flags = {
+        "slope_pointwise_within_tolerance": abs(slope_pw - target) <= _RATE_SLOPE_TOL,
+        "slope_l1_within_tolerance": abs(slope_l1 - target) <= _RATE_SLOPE_TOL,
+    }
+    manifest = {
+        "study": "rate",
         "gamma": gamma,
         "medians_pointwise": med_pw.tolist(),
         "medians_l1": med_l1.tolist(),
@@ -270,15 +281,6 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         "slope_l1": slope_l1,
         "slope_l1_se": se_l1,
         "target_slope": target,
-    }
-    flags = {
-        "slope_pointwise_within_tolerance": abs(slope_pw - target) <= tol,
-        "slope_l1_within_tolerance": abs(slope_l1 - target) <= tol,
-    }
-
-    manifest = {
-        "study": "rate",
-        **summary,  # the gamma, target, fitted slopes and the medians they fit
         "n_list": list(cfg.n_list),
         "replicates": cfg.replicates,
         "x0": cfg.x0,
@@ -299,7 +301,7 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
         t = scn.law.half_width
         rate = (n_big / scn.delta(n_big)) ** (1.0 / 3.0)
         mean_scaled = float(np.mean([rate * r[3] for r in by_n[-1]]))
-        summary["centering"] = {
+        manifest["centering"] = centering = {
             "n": n_big,
             "abs_mean": abs_mean,
             "mu_n": first,
@@ -311,20 +313,15 @@ def run_rate_study(cfg: StudyConfig) -> StudyResult:
             "ratio_first_order": mean_scaled / first,
             "ratio": mean_scaled / (first + layer),
         }
-        manifest["centering"] = summary["centering"]
-        ctol = float(cfg.tolerances.get("centering", 0.10))
-        flags["l1_centering_within_tolerance"] = abs(summary["centering"]["ratio"] - 1.0) <= ctol
+        flags["l1_centering_within_tolerance"] = abs(centering["ratio"] - 1.0) <= _CENTERING_TOL
 
-    return StudyResult(
-        ("gamma", "n", "replicate", "err_pointwise", "err_l1"),
-        records,
-        summary,
-        manifest,
-    )
+    return StudyResult(("gamma", "n", "replicate", "err_pointwise", "err_l1"), records, manifest)
 
 
 # ---------------------------------------------------------------------------
 # limit-law comparison
+
+_KS_TOL = 0.10  # two-sample KS distance, finite-n statistic against the limit law
 
 
 def _pointwise_stat(scn: Scenario, arg, n: int, sample) -> tuple:
@@ -386,8 +383,7 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         extras["finite"][n] = finite
         extras["limit"][n] = draws
 
-    tol = float(cfg.tolerances.get("ks", 0.10))
-    flags = {f"ks_within_tolerance_n{n}": ks_by_n[n] <= tol for n in cfg.n_list}
+    flags = {f"ks_within_tolerance_n{n}": ks_by_n[n] <= _KS_TOL for n in cfg.n_list}
     manifest = {
         "study": "limit_compare",
         "regime": cfg.regime,
@@ -398,7 +394,7 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
         "x0": cfg.x0,
         "seed_base": cfg.seed_base,
         "ks": {str(n): ks_by_n[n] for n in cfg.n_list},
-        "ks_tolerance": tol,
+        "ks_tolerance": _KS_TOL,
         "flags": flags,
     }
     if cfg.regime == "boundary_pointwise":
@@ -406,7 +402,6 @@ def run_limit_comparison(cfg: StudyConfig) -> StudyResult:
     return StudyResult(
         ("kind", "n", "gamma", "ks", "draws_finite", "draws_limit"),
         records,
-        {"ks": ks_by_n},
         manifest,
         extras,
     )
@@ -489,7 +484,6 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
     return StudyResult(
         ("case", "quantity", "value", "budget", "ok"),
         records,
-        {"alpha": alpha},
         manifest,
         {**pairs, "cube": cube},
     )
@@ -497,6 +491,8 @@ def run_lower_bound_audit(cfg: AuditConfig) -> StudyResult:
 
 # ---------------------------------------------------------------------------
 # inverse-process tail probe
+
+_TAIL_SLOPE_TOL = 0.1  # |fitted - target| log-log slope of the deviation medians
 
 
 def _tail_stat(scn: Scenario, arg, n: int, sample) -> tuple:
@@ -534,7 +530,6 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
     medians = np.array([np.median(devs_by_n[n]) for n in cfg.n_list])
     slope, se = fit_loglog_slope(ns, medians)
     target = -(1.0 - 2.0 * gamma) / 3.0
-    tol = float(cfg.tolerances.get("slope", 0.1))
 
     freqs = {
         str(n): {
@@ -550,13 +545,14 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
         ]
         for n in cfg.n_list
     }
-    flags = {"slope_within_tolerance": abs(slope - target) <= tol}
+    flags = {"slope_within_tolerance": abs(slope - target) <= _TAIL_SLOPE_TOL}
     manifest = {
         "study": "tail_probe",
         "gamma": gamma,
         "n_list": list(cfg.n_list),
         "replicates": cfg.replicates,
         "seed_base": cfg.seed_base,
+        "medians": medians.tolist(),
         "slope": slope,
         "slope_se": se,
         "target_slope": target,
@@ -564,16 +560,13 @@ def run_tail_bound_probe(cfg: StudyConfig) -> StudyResult:
         "vacuous_thresholds": vacuous,
         "flags": flags,
     }
-    return StudyResult(
-        ("n", "replicate", "deviation"),
-        records,
-        {"medians": medians.tolist(), "slope": slope, "slope_se": se},
-        manifest,
-    )
+    return StudyResult(("n", "replicate", "deviation"), records, manifest)
 
 
 # ---------------------------------------------------------------------------
 # consistency behaviors
+
+_HELLINGER_RATIO_TOL = 0.55  # upper bound on median(big n) / median(small n)
 
 
 def _hellinger_stat(scn: Scenario, phi, n: int, sample) -> tuple:
@@ -622,8 +615,7 @@ def run_consistency_study(
     meds = [float(np.median([r[2] for r in recs])) for recs in by_head]
     h_small, h_big = meds[:2]
     ratio = h_big / h_small
-    rtol = float(cfg.tolerances.get("hellinger_ratio", 0.55))
-    flags = {"hellinger_ratio": ratio <= rtol}
+    flags = {"hellinger_ratio": ratio <= _HELLINGER_RATIO_TOL}
     sup_medians = {}
     k = len(cfg.n_list)
     for i, gamma in enumerate(sup_gammas):
@@ -641,9 +633,4 @@ def run_consistency_study(
         "seed_base": cfg.seed_base,
         "flags": flags,
     }
-    return StudyResult(
-        ("check", "gamma", "n", "replicate", "value"),
-        records,
-        {"hellinger_ratio": ratio, "sup_medians": sup_medians},
-        manifest,
-    )
+    return StudyResult(("check", "gamma", "n", "replicate", "value"), records, manifest)

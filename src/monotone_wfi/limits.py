@@ -91,9 +91,14 @@ class PathGrid:
     two_sided: bool = True
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0 or self.step <= 0:
-            raise ValueError("grid extent and step must be positive")
+        if not (0 < self.half_width < math.inf and 0 < self.step < math.inf):
+            raise ValueError(
+                f"grid extent and step must be positive and finite, "
+                f"got {self.half_width} and {self.step}"
+            )
         ratio = self.half_width / self.step
+        if not ratio < math.inf:
+            raise ValueError(f"grid half-width {self.half_width} over step {self.step} overflows")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid half-width must be an integer multiple of the step")
         if self.step > 0.01 * self.half_width + 1e-15:
@@ -489,8 +494,8 @@ def boundary_drift(
     order.  From the exact antiderivative (vanishing at ``-T``) of the
     polynomial ``(x^beta - x0^beta) density(x)``.  A scalar ``s`` gives a float.
     """
-    if c < 0:
-        raise ValueError("boundary constant c must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"boundary constant c must be nonnegative and finite, got {c}")
     power = np.r_[-(x0**link.beta), np.zeros(link.beta - 1), 1.0]
     integrand = Polynomial(power) * Polynomial(law.density_coeffs)
     antiderivative = integrand.integ(lbnd=-law.half_width)
@@ -692,8 +697,8 @@ def chernoff_cov_integral(
     The window is enlarged internally by ``a_max`` so shifted minimizers
     stay away from the boundary.
     """
-    if a_max < 3.0:
-        raise ValueError(f"shift range a_max must be at least 3, got {a_max}")
+    if not 3.0 <= a_max < math.inf:
+        raise ValueError(f"shift range a_max must be finite and at least 3, got {a_max}")
     if not 0.0 < a_step <= 0.25:
         raise ValueError(f"shift step must lie in (0, 0.25], got {a_step}")
     if not grid.two_sided:

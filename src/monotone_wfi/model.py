@@ -320,10 +320,12 @@ class Scenario:
     beta: int = 1
 
     def __post_init__(self) -> None:
-        if self.impact_scale <= 0:
-            raise ValueError("impact scale c must be positive")
-        if self.impact_exponent < 0:
-            raise ValueError("impact exponent gamma must be nonnegative")
+        if not 0 < self.impact_scale < math.inf:
+            raise ValueError(f"impact scale c must be positive and finite, got {self.impact_scale}")
+        if not 0 <= self.impact_exponent < math.inf:
+            raise ValueError(
+                f"impact exponent gamma must be nonnegative and finite, got {self.impact_exponent}"
+            )
         if self.beta != self.link.beta:
             raise ValueError("scenario flatness order must match the link")
 

@@ -216,9 +216,9 @@ def test_05_rate_elbow():
             centering_draws=0,
         )
         res = run_rate_study(cfg)
-        target = res.summary["target_slope"]
-        pw = res.summary["slope_pointwise"]
-        l1 = res.summary["slope_l1"]
+        target = res.manifest["target_slope"]
+        pw = res.manifest["slope_pointwise"]
+        l1 = res.manifest["slope_l1"]
         ok &= abs(pw - target) <= 0.07 and abs(l1 - target) <= 0.07
         lines.append(f"g={gamma:g}: pw {pw:+.3f} l1 {l1:+.3f} (target {target:+.3f})")
     elapsed = time.time() - start
@@ -237,7 +237,7 @@ def _limit_criterion(idx, name, gamma, regime, budget, n=20_000, reps=2000):
         limit_draws=50_000,
     )
     res = run_limit_comparison(cfg)
-    ks = res.summary["ks"][n]
+    ks = res.manifest["ks"][str(n)]
     elapsed = time.time() - start
     _report(idx, name, ks <= 0.10, f"KS {ks:.4f} (tol 0.10)", elapsed, budget)
     return res
@@ -263,7 +263,7 @@ def test_08_fast_regime_l1_law():
         limit_draws=50_000,
     )
     res = run_limit_comparison(cfg)
-    ks = res.summary["ks"][20_000]
+    ks = res.manifest["ks"]["20000"]
 
     # representation check: Cov(W(1)-2W(u), W(1)-2W(v)) = 1 - 2|u - v|
     grid = PathGrid(1.0, 0.001, False)
@@ -356,7 +356,7 @@ def test_11_consistency_behaviors():
         threads=THREADS,
     )
     res = run_consistency_study(cfg, hellinger_ns=(400, 6400), sup_gammas=(0.25, 0.8))
-    ratio = res.summary["hellinger_ratio"]
+    ratio = res.manifest["hellinger_ratio"]
     decreasing = all(
         res.manifest["flags"][f"supnorm_decreasing_gamma{g}"] for g in (0.25, 0.8)
     )
@@ -382,7 +382,7 @@ def test_12_inverse_process_scaling():
         probe_xs=(0.05, 0.2),
     )
     res = run_tail_bound_probe(cfg)
-    slope = res.summary["slope"]
+    slope = res.manifest["slope"]
     target = res.manifest["target_slope"]
     elapsed = time.time() - start
     _report(

@@ -40,6 +40,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", sorted(SCHEMAS))
     def test_emit_parse_emit_fixed_point(self, command):
         text = emit_config_text(command)
+        assert "tolerances." not in text  # the --check tolerances are not config
         cfg = parse_config_text(command, text)
         assert emit_config_text(command, cfg) == text
 
@@ -400,17 +401,14 @@ class TestStudyCommands:
         assert main([*args, "--out", str(tmp_path / "b")]) == 4
         assert main([args[0], *args[2:], "--out", str(tmp_path / "c")]) == 0  # no --check
 
-    def test_check_mode_failure_exit(self, tmp_path):
-        # an acceptance-style run with an absurd tolerance must exit 4
-        out = tmp_path / "rate"
-        code = main([
-            "rate-study", "--out", str(out), "--seed", "7", "--check",
-            "--set", "study.gammas=0.8",
-            "--set", "study.n_list=64,128,256",
-            "--set", "study.replicates=50",
-            "--set", "tolerances.slope=0.0001",
-        ])
-        assert code == 4
+    def test_check_mode_failure_exit(self, tmp_path, monkeypatch):
+        # errors that grow with n fail the fixed slope tolerance: exit 4 under --check only
+        monkeypatch.setattr(experiments, "fit_loglog_slope", lambda ns, errors: (1.0, 0.0))
+        args = ["rate-study", "--check", "--seed", "7", *SMOKE_RUNS["rate-study"]]
+        assert main([*args, "--out", str(tmp_path / "a")]) == 4
+        manifest = json.loads(_read(tmp_path / "a" / "rate_study.manifest.json"))
+        assert manifest["flags"] == {"gamma_0.8": False}
+        assert main([args[0], *args[2:], "--out", str(tmp_path / "b")]) == 0  # no --check
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MONOTONE_WFI_SEED", "999")
@@ -585,6 +583,63 @@ class TestStudyInputChecks:
         err = capsys.readouterr().err
         assert "repeats" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "consistency.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sets, bad",
+    [
+        ("rate-study", ["scenario.impact_scale=nan"], "nan"),
+        ("rate-study", ["scenario.impact_exponent=nan"], "nan"),
+        ("rate-study", ["study.gammas=nan"], "nan"),
+        ("consistency", ["study.sup_gammas=nan"], "nan"),
+        ("tail-probe", ["study.probe_xs=nan"], "nan"),
+        ("simulate-limit", ["limit.law_tag=slow_fbeta", "grid.half_width=inf"], "inf"),
+        ("simulate-limit", ["limit.law_tag=slow_fbeta", "grid.half_width=1e308"], "1e+308"),
+        ("simulate-limit", ["limit.law_tag=slow_fbeta", "grid.step=nan"], "nan"),
+        ("simulate-limit", ["limit.law_tag=boundary_gbc", "limit.c=nan"], "nan"),
+        ("constants", ["constants.a_max=inf"], "inf"),
+        ("constants", ["grid.half_width=inf"], "inf"),
+    ],
+)
+def test_non_finite_input_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, sets,
+                                                   bad):
+    # these ran to the end with NaN records, or died in an OverflowError traceback
+    monkeypatch.setattr(experiments, "draw_sample", _no_draws)
+    monkeypatch.setattr(limits, "_scaled_normals", _no_draws)
+    overrides = [arg for key in sets for arg in ("--set", key)]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *SMOKE_RUNS[command], *overrides]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert bad in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rate-study", "limit-compare", "tail-probe", "consistency"])
+def test_tolerances_are_not_config_keys(tmp_path, capsys, command):
+    # each --check tolerance is a fixed constant of the study it decides
+    code = main([command, "--out", str(tmp_path), "--set", "tolerances.slope=0.5"])
+    assert code == 2
+    assert "unknown key 'tolerances.slope'" in capsys.readouterr().err
+
+
+def test_tail_probe_manifest_holds_the_medians_it_plots(tmp_path, monkeypatch):
+    plotted = []
+    line_plot = svgplot.line_plot
+
+    def recorded(path, series, **kwargs):
+        plotted.append(series[0]["ys"])
+        line_plot(path, series, **kwargs)
+
+    monkeypatch.setattr(svgplot, "line_plot", recorded)
+    assert main(["tail-probe", "--out", str(tmp_path), *SMOKE_RUNS["tail-probe"]]) == 0
+    manifest = json.loads(_read(tmp_path / "tail_probe.manifest.json"))
+    rows = [row.split(",") for row in _read(tmp_path / "tail_probe.csv").splitlines()[1:]]
+    devs = {}
+    for n, _, dev in rows:
+        devs.setdefault(int(n), []).append(float(dev))
+    assert manifest["medians"] == [float(np.median(devs[n])) for n in manifest["n_list"]]
+    assert plotted == [manifest["medians"]]
 
 
 def _reject_constant(name):

@@ -84,7 +84,7 @@ class TestRateStudy:
         serial = run_rate_study(StudyConfig(_scn(0.25), (64, 128, 256), 50, threads=1, **kw))
         parallel = run_rate_study(StudyConfig(_scn(0.25), (64, 128, 256), 50, threads=4, **kw))
         assert serial.to_csv_text() == parallel.to_csv_text()
-        assert serial.summary["slope_l1"] == parallel.summary["slope_l1"]
+        assert serial.manifest == parallel.manifest
 
     def test_records_shape_and_columns(self):
         res = run_rate_study(
@@ -93,13 +93,12 @@ class TestRateStudy:
         assert len(res.records) == 3 * 50
         assert res.columns == ("gamma", "n", "replicate", "err_pointwise", "err_l1")
         assert all(r[0] == 0.25 for r in res.records)
-        assert "centering" not in res.summary and "centering" not in res.manifest
+        assert "centering" not in res.manifest
 
     def test_centering_decomposition(self):
         cfg = StudyConfig(_scn(0.25), (256, 512, 1024), 50, seed_base=11, centering_draws=10_000)
         res = run_rate_study(cfg)
-        c = res.summary["centering"]
-        assert res.manifest["centering"] == c
+        c = res.manifest["centering"]
         assert c["n"] == 1024 and c["edge_constant"] > 5 * c["edge_constant_se"]
         left, right = c["edge_widths"]
         assert left == pytest.approx(right, rel=1e-12)
@@ -274,7 +273,7 @@ class TestFlatLinkBoundaryLaw:
     def test_law_off_the_flat_point_matches_the_data(self):
         # x^3 - x0^3, not (x - x0)^3: the finite mean sits near +0.28 here
         res, _, _ = self._run(0.4)
-        assert res.summary["ks"][20_000] <= 0.10
+        assert res.manifest["ks"]["20000"] <= 0.10
 
     def test_spread_at_the_flat_point_matches_the_data(self):
         # the drift carries phi0^(3)(0) / 3! = 1/4, not phi0^(3)(0) = 3/2
@@ -384,8 +383,8 @@ class TestConsistencyStudy:
     def test_flags_and_medians(self):
         cfg = StudyConfig(_scn(0.25), (512, 2048, 8192), 60, seed_base=31, threads=2)
         res = run_consistency_study(cfg, hellinger_ns=(400, 6400), sup_gammas=(0.25,))
-        assert res.summary["hellinger_ratio"] <= 0.55
-        meds = res.summary["sup_medians"]["0.25"]
+        assert res.manifest["hellinger_ratio"] <= 0.55
+        meds = res.manifest["sup_medians"]["0.25"]
         assert len(meds) == 3
         assert res.manifest["flags"]["supnorm_decreasing_gamma0.25"] == (
             meds[2] < meds[1] < meds[0]
@@ -413,7 +412,7 @@ class TestOneRegimeRule:
         monkeypatch.setattr(experiments.limits, "edge_layer_constant", no_centering)
         cfg = StudyConfig(self.NEAR_BOUNDARY, (64, 128, 256), 50, centering_draws=10_000)
         res = run_rate_study(cfg)
-        assert "centering" not in res.summary and "centering" not in res.manifest
+        assert "centering" not in res.manifest
 
     def test_limit_comparison_reads_boundary(self):
         for regime in ("slow_pointwise", "fast_pointwise"):
